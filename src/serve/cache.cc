@@ -58,28 +58,44 @@ cache_telemetry()
 
 } // namespace
 
+bool
+ResultCache::take_hit(Entry& entry, std::uint64_t generation, Cached& out)
+{
+    if (entry.generation != generation || expired(entry, clock_->now_ns()))
+        return false;
+    lru_.splice(lru_.begin(), lru_, entry.lru_it);
+    ++counters_.hits;
+    cache_telemetry().hits.inc();
+    out.value = entry.value;
+    out.fingerprint = entry.fingerprint;
+    out.generation = entry.generation;
+    return true;
+}
+
+ResultCache::Cached
+ResultCache::lookup_fresh(const std::string& key, std::uint64_t generation)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    Cached out;
+    if (auto it = entries_.find(key); it != entries_.end())
+        take_hit(it->second, generation, out);
+    return out;
+}
+
 ResultCache::Lookup
 ResultCache::lookup_or_join(const std::string& key,
                             std::uint64_t generation)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (auto it = entries_.find(key); it != entries_.end()) {
-        const bool same_gen = it->second.generation == generation;
-        if (same_gen && !expired(it->second, clock_->now_ns())) {
-            lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-            ++counters_.hits;
-            cache_telemetry().hits.inc();
-            Lookup hit;
+        if (Lookup hit; take_hit(it->second, generation, hit)) {
             hit.role = Role::kHit;
-            hit.value = it->second.value;
-            hit.fingerprint = it->second.fingerprint;
-            hit.generation = it->second.generation;
             return hit;
         }
         // Past its TTL or from an older data generation: no longer a
         // hit, but deliberately kept — peek() serves it stale until a
         // fresh leader's publish() replaces it.
-        if (same_gen) {
+        if (it->second.generation == generation) {
             ++counters_.expired_misses;
             cache_telemetry().expired_misses.inc();
         } else {

@@ -2,7 +2,8 @@
  * @file
  * Byte-accounted LRU result cache with single-flight execution dedup.
  *
- * lookup_or_join() resolves a cache key to one of three roles:
+ * lookup_fresh() answers fresh hits and nothing else; lookup_or_join()
+ * resolves a cache key to one of three roles:
  *
  *   kHit      — a completed result is cached; take it and go.
  *   kLeader   — nobody is computing this key: the caller must execute the
@@ -64,8 +65,9 @@ class ResultCache
   public:
     /**
      * Rendezvous between a single-flight leader and its followers.  The
-     * leader fills the fields and flips done under mu; followers wait on
-     * cv (polling their own deadline/cancel state between waits).
+     * leader fills the fields and flips done under mu, then notifies cv;
+     * followers wait on cv until done, their own deadline, or a cancel
+     * (Server::Handle::cancel() notifies the flight its request joined).
      */
     struct Inflight
     {
@@ -82,15 +84,21 @@ class ResultCache
 
     enum class Role { kHit, kLeader, kFollower };
 
-    /** Outcome of lookup_or_join(): role plus the role's payload. */
-    struct Lookup
+    /** A cached answer: the immutable payload plus its provenance. */
+    struct Cached
     {
-        Role role = Role::kLeader;
-        /** Cached payload; set only for kHit. */
+        /** Null when nothing was found. */
         std::shared_ptr<const ResultValue> value;
         std::uint64_t fingerprint = 0;
-        /** Generation the hit was computed against (kHit only). */
+        /** Data generation the entry was computed against. */
         std::uint64_t generation = 0;
+    };
+
+    /** Outcome of lookup_or_join(): role plus the role's payload.  The
+     *  Cached fields are set only for kHit. */
+    struct Lookup : Cached
+    {
+        Role role = Role::kLeader;
         /** Rendezvous; set for kLeader (to publish) and kFollower (to
          *  wait on). */
         std::shared_ptr<Inflight> flight;
@@ -114,12 +122,8 @@ class ResultCache
     };
 
     /** peek() outcome: a cached payload plus its freshness. */
-    struct Peek
+    struct Peek : Cached
     {
-        std::shared_ptr<const ResultValue> value;
-        std::uint64_t fingerprint = 0;
-        /** Generation the entry was computed against. */
-        std::uint64_t generation = 0;
         /** Within TTL and from the requested generation (always true when
          *  the cache has no TTL and the caller never mutates). */
         bool fresh = true;
@@ -144,6 +148,15 @@ class ResultCache
      *  like a TTL expiry: not a hit, but kept for peek(). */
     Lookup lookup_or_join(const std::string& key,
                           std::uint64_t generation = 0);
+
+    /**
+     * Hit-only lookup: the entry for @p key when it is fresh at
+     * @p generation (counted as a hit, moved to the LRU front), else an
+     * empty Cached with no side effects — no miss is counted and no
+     * in-flight slot is created, so a following lookup_or_join() still
+     * owns the miss, join, and leader accounting.
+     */
+    Cached lookup_fresh(const std::string& key, std::uint64_t generation = 0);
 
     /**
      * Degraded-mode read: any entry for @p key — fresh, expired, or from
@@ -187,6 +200,10 @@ class ResultCache
     {
         return ttl_ns_ > 0 && now_ns - entry.inserted_ns >= ttl_ns_;
     }
+
+    /** Caller holds mu_.  If @p entry is fresh at @p generation, count
+     *  the hit, touch LRU order, copy it into @p out, and return true. */
+    bool take_hit(Entry& entry, std::uint64_t generation, Cached& out);
 
     std::size_t capacity_bytes_;
     std::int64_t ttl_ns_;

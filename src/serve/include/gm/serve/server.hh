@@ -4,8 +4,10 @@
  * shared DatasetSuite, with defined behavior under overload and faults.
  *
  * Architecture (one paragraph): submit() validates a Request against the
- * suite and framework registry, stamps it, gates it through the cell's
- * circuit breaker, and offers it to the AdmissionController — per
+ * suite and framework registry and stamps it.  A fresh cached answer at
+ * the store's current generation completes the request right there, on
+ * the caller's thread; anything else is gated through the cell's
+ * circuit breaker and offered to the AdmissionController — per
  * priority-class quotas, plus deadline-aware expiry that sheds requests
  * whose deadline cannot be met at the current drain rate.  Admission
  * never blocks: refused work is answered immediately, either degraded
@@ -247,7 +249,8 @@ struct PlanResult
 struct ServerStats
 {
     std::uint64_t submitted = 0;  ///< accepted (handle returned), incl.
-                                  ///< degraded answers served at submit
+                                  ///< fresh hits and degraded answers
+                                  ///< served at submit
     std::uint64_t shed = 0;       ///< refused: queue/class full or
                                   ///< deadline infeasible
     std::uint64_t infeasible = 0; ///< subset of shed: deadline-aware
@@ -367,14 +370,17 @@ class Server
     Server& operator=(const Server&) = delete;
 
     /**
-     * Validate, breaker-gate, and enqueue @p request.  Never blocks:
-     * returns kInvalidInput for an unknown framework/graph or
-     * out-of-range source, kResourceExhausted when admission refuses
-     * (queue/class full, deadline infeasible, or shutting down),
-     * kUnavailable when the cell's breaker is open — unless the refused
-     * request can be answered from the cache (always for a fresh entry
-     * on the breaker path, allow_stale for anything else), in which case
-     * the returned Handle is already complete.
+     * Validate @p request, then answer it from a fresh cache entry or
+     * breaker-gate and enqueue it.  Never blocks: returns kInvalidInput
+     * for an unknown framework/graph or out-of-range source,
+     * kResourceExhausted when admission refuses (queue/class full,
+     * deadline infeasible, injected serve.admission fault, or shutting
+     * down), kUnavailable when the cell's breaker is open.  The returned
+     * Handle is already complete when a fresh entry at the store's
+     * current generation answered the request (before the breaker and
+     * admission, so a hit takes no queue slot, worker, lane, or probe),
+     * or when an allow_stale request was refused but the cache held any
+     * entry for it.
      */
     support::StatusOr<Handle> submit(Request request);
 
@@ -511,9 +517,12 @@ class Server
     /** {"kind":"serve.mutation"} JSONL record for one applied batch. */
     void write_mutation_record(const std::string& graph,
                                const MutationOutcome& outcome);
-    support::Status wait_for_leader(detail::RequestState& state,
-                                    ResultCache::Inflight& flight,
-                                    QueryResult& result);
+    /** Follower side of single-flight: block until @p flight publishes,
+     *  the request's deadline passes, or cancel() wakes it. */
+    support::Status
+    wait_for_leader(detail::RequestState& state,
+                    const std::shared_ptr<ResultCache::Inflight>& flight,
+                    QueryResult& result);
     support::Status classify_cancel(const detail::RequestState& state) const;
     void complete(const std::shared_ptr<detail::RequestState>& state,
                   support::Status status, QueryResult result);
@@ -521,6 +530,14 @@ class Server
      *  one existed (degraded when past TTL, cache_hit when fresh). */
     bool try_cache_fallback(const detail::RequestState& state,
                             QueryResult& result);
+    /** Fill @p result from a cache entry: a cache_hit (counted) when
+     *  @p fresh, else a degraded answer. */
+    void answer_from_cache(const ResultCache::Cached& entry, bool fresh,
+                           QueryResult& result);
+    /** The answer submit() returns for the fresh entry @p hit, plus the
+     *  request's metrics record when that stream is on. */
+    QueryResult answer_hit_inline(const detail::RequestState& state,
+                                  const ResultCache::Cached& hit);
     /** Breaker bookkeeping for a leader outcome (or non-execution). */
     void record_cell_outcome(const detail::RequestState& state,
                              const support::Status& status, bool executed);
@@ -578,7 +595,9 @@ class Server
     mutable std::mutex queue_mu_;
     std::condition_variable queue_cv_;
     AdmissionController admission_;
-    bool shutdown_ = false;
+    /** Written under queue_mu_; atomic so submit()'s inline cache path
+     *  can read it without taking the queue lock. */
+    std::atomic<bool> shutdown_{false};
     /** Total lanes leaders may hold at once; const after construction.
      *  Invariant: 0 <= lane_gate_->in_use <= lane_budget_. */
     int lane_budget_ = 1;

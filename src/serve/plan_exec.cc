@@ -406,9 +406,8 @@ Server::plan_run_node(PlanState& state, int id)
           return;
       }
       case ResultCache::Role::kFollower: {
-          // Same join discipline as wait_for_leader: short polls, exits
-          // on the plan's cancel or this node's deadline (the deadline
-          // timer raises the node token).
+          // Short polls: exits on the plan's cancel or this node's
+          // deadline (the deadline timer raises the node token).
           ResultCache::Inflight& flight = *lookup.flight;
           std::unique_lock<std::mutex> lock(flight.mu);
           while (!flight.done) {

@@ -28,19 +28,18 @@
 namespace gm::serve::detail
 {
 
-/** Match a framework by display name or lowercase alias. */
+/** Match a framework by display name or lowercase alias: a
+ *  case-insensitive compare in place, since it runs on every submit. */
 inline const harness::Framework*
 find_framework(const std::vector<harness::Framework>& frameworks,
                const std::string& name)
 {
-    std::string lower = name;
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
+    const auto same = [](unsigned char a, unsigned char b) {
+        return std::tolower(a) == std::tolower(b);
+    };
     for (const auto& fw : frameworks) {
-        std::string fw_lower = fw.name;
-        std::transform(fw_lower.begin(), fw_lower.end(), fw_lower.begin(),
-                       [](unsigned char c) { return std::tolower(c); });
-        if (name == fw.name || lower == fw_lower)
+        if (std::equal(name.begin(), name.end(), fw.name.begin(),
+                       fw.name.end(), same))
             return &fw;
     }
     return nullptr;
@@ -263,6 +262,10 @@ struct RequestState
     bool done = false;
     support::Status status;
     QueryResult result;
+    /** The in-flight execution this request joined as a follower (null
+     *  otherwise); guarded by mu.  Lets cancel() wake the follower's
+     *  wait the way gate lets it wake a lane waiter. */
+    std::shared_ptr<ResultCache::Inflight> flight;
 };
 
 /**

@@ -1,7 +1,7 @@
 #include "gm/serve/server.hh"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -88,12 +88,28 @@ make_cache_key(const Request& req, const harness::Framework& fw,
                const harness::Dataset& ds)
 {
     const vid_t source = kernel_uses_source(req.kernel) ? req.source : 0;
-    std::ostringstream key;
-    key << harness::to_string(req.mode) << "/" << fw.name << "/"
-        << harness::to_string(req.kernel) << "/" << req.graph << "@"
-        << std::hex << ds.store()->identity() << std::dec << "/d"
-        << ds.delta << "/s" << source;
-    return key.str();
+    std::string key;
+    key.reserve(64 + req.graph.size());
+    const auto number = [&key](auto value, int base) {
+        char digits[24];
+        key.append(digits,
+                   std::to_chars(digits, digits + sizeof digits, value, base)
+                       .ptr);
+    };
+    key += harness::to_string(req.mode);
+    key += '/';
+    key += fw.name;
+    key += '/';
+    key += harness::to_string(req.kernel);
+    key += '/';
+    key += req.graph;
+    key += '@';
+    number(ds.store()->identity(), 16);
+    key += "/d";
+    number(ds.delta, 10);
+    key += "/s";
+    number(source, 10);
+    return key;
 }
 
 /** Breaker identity: the unit that fails together.  Source and mode are
@@ -127,6 +143,15 @@ execute_kernel(const RequestState& state)
         return fw.tc(ds, req.mode);
     }
     throw support::Error(StatusCode::kInvalidInput, "unknown kernel");
+}
+
+/** Open a request's bound trace session: its queue-wait span and its
+ *  trace id, so the spans and the JSONL record carry the same identity. */
+void
+stamp_request_session(const RequestState& state, std::int64_t dequeue_ns)
+{
+    obs::record_span("serve.queue_wait", state.submit_ns, dequeue_ns);
+    obs::counter_max("serve.trace", state.req.trace_id);
 }
 
 int
@@ -324,24 +349,26 @@ Server::submit(Request request)
             state->submit_ns +
             static_cast<std::int64_t>(state->req.deadline_ms) * 1'000'000;
 
-    // Serves a refused request from the cache when policy allows, or
-    // refuses it for real.  Returns the already-completed handle or the
-    // refusal status.
-    const auto refuse = [&](Status status,
-                            bool fresh_ok) -> StatusOr<Handle> {
+    // Completes the request on this thread with a cached answer.
+    const auto answered = [&](QueryResult result) {
+        {
+            std::lock_guard<std::mutex> lock(stats_mu_);
+            ++counters_.submitted;
+        }
+        if (tm_ != nullptr)
+            tm_->submitted->inc();
+        complete(state, Status::ok(), std::move(result));
+        return Handle(state);
+    };
+
+    // Serves a refused allow_stale request from the cache, or refuses
+    // it for real.  Returns the already-completed handle or the refusal
+    // status.
+    const auto refuse = [&](Status status) -> StatusOr<Handle> {
         QueryResult result;
-        if ((state->req.allow_stale || fresh_ok) &&
-            try_cache_fallback(*state, result) &&
-            (result.degraded ? state->req.allow_stale : true)) {
-            {
-                std::lock_guard<std::mutex> lock(stats_mu_);
-                ++counters_.submitted;
-            }
-            if (tm_ != nullptr)
-                tm_->submitted->inc();
+        if (state->req.allow_stale && try_cache_fallback(*state, result)) {
             write_refusal_record(*state, status, /*served_degraded=*/true);
-            complete(state, Status::ok(), std::move(result));
-            return Handle(state);
+            return answered(std::move(result));
         }
         {
             std::lock_guard<std::mutex> lock(stats_mu_);
@@ -370,13 +397,22 @@ Server::submit(Request request)
         support::FaultInjector::global().at("serve.admission");
     } catch (const support::FaultInjectedError&) {
         return refuse(Status(StatusCode::kResourceExhausted,
-                             "injected fault at serve.admission"),
-                      /*fresh_ok=*/false);
+                             "injected fault at serve.admission"));
+    }
+
+    // A fresh cache entry at the store's current generation answers the
+    // request here, on the caller's thread: it takes no queue slot,
+    // worker, lane, or breaker probe.  Misses, stale entries, and
+    // followers of an in-flight leader go through admission below.
+    if (!shutdown_) {
+        const ResultCache::Cached hit = cache_.lookup_fresh(
+            state->cache_key, ds->store()->generation());
+        if (hit.value != nullptr)
+            return answered(answer_hit_inline(*state, hit));
     }
 
     // Circuit breaker: fast-fail a sick cell instead of queueing into
-    // it.  A fresh cached result is still served (no execution needed);
-    // half-open grants pass through as probes.
+    // it; half-open grants pass through as probes.
     if (options_.enable_breaker) {
         switch (breaker_.admit(state->cell_key)) {
           case CircuitBreaker::Gate::kAllow:
@@ -387,8 +423,7 @@ Server::submit(Request request)
           case CircuitBreaker::Gate::kReject:
             return refuse(
                 Status(StatusCode::kUnavailable,
-                       "circuit breaker open for cell " + state->cell_key),
-                /*fresh_ok=*/true);
+                       "circuit breaker open for cell " + state->cell_key));
         }
     }
 
@@ -450,8 +485,7 @@ Server::submit(Request request)
             if (tm_ != nullptr)
                 tm_->infeasible->inc();
         }
-        return refuse(Status(StatusCode::kResourceExhausted, reason),
-                      /*fresh_ok=*/false);
+        return refuse(Status(StatusCode::kResourceExhausted, reason));
     }
 
     queue_cv_.notify_one();
@@ -725,10 +759,7 @@ Server::process(const std::shared_ptr<RequestState>& state)
     bool executed = false;
     {
         obs::SessionBinding binding(session.gen());
-        obs::record_span("serve.queue_wait", state->submit_ns, dequeue_ns);
-        // Bind the request's trace id to the session so its spans and the
-        // JSONL record carry the same identity.
-        obs::counter_max("serve.trace", state->req.trace_id);
+        stamp_request_session(*state, dequeue_ns);
 
         // The generation the caller wants: whatever the store serves
         // right now.  A mutate() landing after this read is harmless —
@@ -737,26 +768,18 @@ Server::process(const std::shared_ptr<RequestState>& state)
         ResultCache::Lookup lookup = cache_.lookup_or_join(
             state->cache_key, state->ds->store()->generation());
         switch (lookup.role) {
-          case ResultCache::Role::kHit: {
-              obs::counter_add("serve.cache_hit", 1);
-              {
-                  std::lock_guard<std::mutex> lock(stats_mu_);
-                  ++counters_.cache_hits;
-              }
-              result.value = std::move(lookup.value);
-              result.fingerprint = lookup.fingerprint;
-              result.generation = lookup.generation;
-              result.cache_hit = true;
+          case ResultCache::Role::kHit:
+              // An entry published between submit() and this dequeue.
+              answer_from_cache(lookup, /*fresh=*/true, result);
               record_cell_outcome(*state, status, /*executed=*/false);
               break;
-          }
           case ResultCache::Role::kFollower: {
               {
                   std::lock_guard<std::mutex> lock(stats_mu_);
                   ++counters_.single_flight_joins;
               }
               const std::int64_t join_begin = Timer::now_ns();
-              status = wait_for_leader(*state, *lookup.flight, result);
+              status = wait_for_leader(*state, lookup.flight, result);
               obs::record_span("serve.join_wait", join_begin,
                                Timer::now_ns());
               record_cell_outcome(*state, status, /*executed=*/false);
@@ -938,11 +961,16 @@ Server::acquire_all_lanes()
 }
 
 Status
-Server::wait_for_leader(RequestState& state, ResultCache::Inflight& flight,
+Server::wait_for_leader(RequestState& state,
+                        const std::shared_ptr<ResultCache::Inflight>& flight,
                         QueryResult& result)
 {
-    std::unique_lock<std::mutex> lock(flight.mu);
-    while (!flight.done) {
+    {
+        std::lock_guard<std::mutex> lock(state.mu);
+        state.flight = flight;
+    }
+    std::unique_lock<std::mutex> lock(flight->mu);
+    while (!flight->done) {
         if (state.user_cancelled.load(std::memory_order_relaxed))
             return Status(StatusCode::kCancelled, "cancelled by caller");
         if (state.deadline_ns != 0 && Timer::now_ns() >= state.deadline_ns)
@@ -951,16 +979,23 @@ Server::wait_for_leader(RequestState& state, ResultCache::Inflight& flight,
                               std::to_string(state.req.deadline_ms) +
                               " ms exceeded while joined to an "
                               "in-flight execution");
-        flight.cv.wait_for(lock, std::chrono::milliseconds(2));
+        // Event-driven like acquire_lanes: publish() and cancel() notify,
+        // and the request's own deadline is the only timed bound.
+        if (state.deadline_ns == 0)
+            flight->cv.wait(lock);
+        else
+            flight->cv.wait_for(lock,
+                                std::chrono::nanoseconds(state.deadline_ns -
+                                                         Timer::now_ns()));
     }
-    if (flight.status.is_ok()) {
-        result.value = flight.value;
-        result.fingerprint = flight.fingerprint;
-        result.generation = flight.generation;
+    if (flight->status.is_ok()) {
+        result.value = flight->value;
+        result.fingerprint = flight->fingerprint;
+        result.generation = flight->generation;
         result.shared_execution = true;
         return Status::ok();
     }
-    switch (flight.status.code()) {
+    switch (flight->status.code()) {
       case StatusCode::kTimeout:
       case StatusCode::kDeadlineExceeded:
       case StatusCode::kCancelled:
@@ -970,28 +1005,57 @@ Server::wait_for_leader(RequestState& state, ResultCache::Inflight& flight,
                       "single-flight leader abandoned; safe to retry");
       default:
         // Deterministic failure: retrying the same query would repeat it.
-        return flight.status;
+        return flight->status;
     }
 }
 
 bool
 Server::try_cache_fallback(const RequestState& state, QueryResult& result)
 {
-    ResultCache::Peek peek = cache_.peek(
+    const ResultCache::Peek peek = cache_.peek(
         state.cache_key, state.ds->store()->generation());
     if (peek.value == nullptr)
         return false;
-    result.value = std::move(peek.value);
-    result.fingerprint = peek.fingerprint;
-    result.generation = peek.generation;
-    if (peek.fresh) {
-        result.cache_hit = true;
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.cache_hits;
-    } else {
-        result.degraded = true;
-    }
+    answer_from_cache(peek, peek.fresh, result);
     return true;
+}
+
+void
+Server::answer_from_cache(const ResultCache::Cached& entry, bool fresh,
+                          QueryResult& result)
+{
+    result.value = entry.value;
+    result.fingerprint = entry.fingerprint;
+    result.generation = entry.generation;
+    result.cache_hit = fresh;
+    result.degraded = !fresh;
+    if (!fresh)
+        return;
+    obs::counter_add("serve.cache_hit", 1);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++counters_.cache_hits;
+}
+
+QueryResult
+Server::answer_hit_inline(const RequestState& state,
+                          const ResultCache::Cached& hit)
+{
+    QueryResult result;
+    if (options_.metrics_path.empty()) {
+        answer_from_cache(hit, /*fresh=*/true, result);
+        return result;
+    }
+    // The record a worker writes for a hit, with a zero queue wait.
+    obs::TraceSession session;
+    session.start_detached();
+    {
+        obs::SessionBinding binding(session.gen());
+        stamp_request_session(state, state.submit_ns);
+        answer_from_cache(hit, /*fresh=*/true, result);
+    }
+    session.stop();
+    write_metrics_record(state, session);
+    return result;
 }
 
 void
@@ -1404,11 +1468,25 @@ Server::Handle::cancel() const
     GM_ASSERT(state_ != nullptr, "cancel() on an empty serve::Handle");
     state_->user_cancelled.store(true, std::memory_order_relaxed);
     state_->token->request();
-    // Wake the request if it is a leader blocked on the lane budget; the
-    // gate is shared-ptr-owned by the state, so this is safe even after
-    // the server has been destroyed.
+    // Wake the request wherever it blocks: a leader waiting for lanes or
+    // a follower joined to another request's flight.  Taking each
+    // waiter's mutex before notifying orders the flag store before its
+    // next check, so the wakeup cannot be lost.  Gate and flight are
+    // shared-ptr-owned by the state, so this is safe even after the
+    // server has been destroyed.
+    const auto wake = [](std::mutex& mu, std::condition_variable& cv) {
+        { std::lock_guard<std::mutex> lock(mu); }
+        cv.notify_all();
+    };
     if (state_->gate != nullptr)
-        state_->gate->cv.notify_all();
+        wake(state_->gate->mu, state_->gate->cv);
+    std::shared_ptr<ResultCache::Inflight> flight;
+    {
+        std::lock_guard<std::mutex> lock(state_->mu);
+        flight = state_->flight;
+    }
+    if (flight != nullptr)
+        wake(flight->mu, flight->cv);
 }
 
 } // namespace gm::serve

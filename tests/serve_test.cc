@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -22,6 +23,7 @@
 #include "gm/par/thread_pool.hh"
 #include "gm/serve/cache.hh"
 #include "gm/serve/server.hh"
+#include "gm/support/clock.hh"
 #include "gm/support/fault_injector.hh"
 
 namespace gm::serve
@@ -629,6 +631,227 @@ TEST(ServeTest, WritesParseableMetricsRecords)
     std::remove(path.c_str());
 }
 
+// ------------------------------------------------------ inline cache hits
+
+Request
+bfs_on(const std::string& graph, vid_t source)
+{
+    Request req;
+    req.framework = "GAP";
+    req.kernel = Kernel::kBFS;
+    req.graph = graph;
+    req.source = source;
+    return req;
+}
+
+void
+expect_invariants(const ServerStats& s)
+{
+    EXPECT_EQ(s.completed, s.succeeded + s.deadline_exceeded + s.cancelled +
+                               s.failed);
+    EXPECT_GE(s.submitted, s.completed + s.queue_depth);
+    EXPECT_LE(s.degraded, s.succeeded);
+}
+
+TEST(ServeTest, FreshHitIsCompleteWhenSubmitReturns)
+{
+    ServerOptions options;
+    options.workers = 1;
+    Server server = make_server(options);
+    const Request req = bfs_on("Kron", suite()[3].sources[0]);
+    auto first = server.query(req);
+    ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+
+    auto handle = server.submit(req);
+    ASSERT_TRUE(handle.is_ok());
+    auto hit = handle->wait_for(0); // no worker involved: already done
+    ASSERT_TRUE(hit.is_ok()) << hit.status().to_string();
+    EXPECT_TRUE(hit->cache_hit);
+    EXPECT_EQ(hit->queue_seconds, 0.0);
+    EXPECT_EQ(hit->execute_seconds, 0.0);
+    EXPECT_EQ(hit->fingerprint, first->fingerprint);
+    EXPECT_EQ(hit->value, first->value);
+    EXPECT_NE(hit->trace_id, 0u);
+
+    const ServerStats s = server.stats_snapshot();
+    EXPECT_EQ(s.submitted, 2u);
+    EXPECT_EQ(s.succeeded, 2u);
+    EXPECT_EQ(s.cache_hits, 1u);
+    EXPECT_EQ(s.executions, 1u);
+    expect_invariants(s);
+}
+
+TEST(ServeTest, HitsUseNoQueueSlotOrWorker)
+{
+    // Both workers are held by one delayed leader (one executes, one
+    // waits as its follower) and the only queue slot is taken, so a miss
+    // sheds — yet a cached query is still answered, because hits never
+    // enter the queue.
+    ServerOptions options;
+    options.workers = 2;
+    options.queue_capacity = 1;
+    Server server = make_server(options);
+    const std::vector<vid_t>& sources = suite()[4].sources;
+    const Request cached = bfs_on("Urand", sources[0]);
+    ASSERT_TRUE(server.query(cached).is_ok());
+
+    ScopedFaults faults("serve.execute:1x:21:delay=400");
+    auto leader = server.submit(bfs_on("Urand", sources[1]));
+    ASSERT_TRUE(leader.is_ok());
+    ASSERT_TRUE(eventually(
+        [&] { return server.stats_snapshot().executions == 2; }));
+    auto follower = server.submit(bfs_on("Urand", sources[1]));
+    ASSERT_TRUE(follower.is_ok());
+    ASSERT_TRUE(eventually(
+        [&] { return server.stats_snapshot().single_flight_joins == 1; }));
+    auto queued = server.submit(bfs_on("Urand", sources[2]));
+    ASSERT_TRUE(queued.is_ok());
+    auto shed = server.submit(bfs_on("Urand", sources[3]));
+    ASSERT_FALSE(shed.is_ok());
+    EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
+
+    auto hit = server.submit(cached);
+    ASSERT_TRUE(hit.is_ok()) << hit.status().to_string();
+    auto got = hit->wait_for(0);
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    EXPECT_TRUE(got->cache_hit);
+    {
+        const ServerStats s = server.stats_snapshot();
+        EXPECT_EQ(s.queue_depth, 1u); // the hit never took the slot
+        EXPECT_EQ(s.shed, 1u);
+        EXPECT_EQ(s.cache_hits, 1u);
+    }
+
+    EXPECT_TRUE(leader->wait().is_ok());
+    auto joined = follower->wait();
+    ASSERT_TRUE(joined.is_ok());
+    EXPECT_TRUE(joined->shared_execution);
+    EXPECT_TRUE(queued->wait().is_ok());
+    expect_invariants(server.stats_snapshot());
+}
+
+TEST(ServeTest, AdmissionFaultShedsACachedQuery)
+{
+    ServerOptions options;
+    options.workers = 1;
+    Server server = make_server(options);
+    const Request req = bfs_on("Road", suite()[0].sources[0]);
+    ASSERT_TRUE(server.query(req).is_ok());
+
+    ScopedFaults faults("serve.admission:1:22");
+    auto refused = server.submit(req);
+    ASSERT_FALSE(refused.is_ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+    const ServerStats s = server.stats_snapshot();
+    EXPECT_EQ(s.shed, 1u);
+    EXPECT_EQ(s.cache_hits, 0u);
+    expect_invariants(s);
+}
+
+TEST(ServeTest, ExpiredEntryIsNotServedInline)
+{
+    support::ManualClock clock(1'000'000'000);
+    ServerOptions options;
+    options.workers = 1;
+    options.cache_ttl_ms = 50;
+    options.clock = &clock;
+    Server server = make_server(options);
+    const Request req = bfs_on("Web", suite()[2].sources[0]);
+    ASSERT_TRUE(server.query(req).is_ok());
+    auto hit = server.query(req);
+    ASSERT_TRUE(hit.is_ok());
+    EXPECT_TRUE(hit->cache_hit);
+
+    clock.advance_ms(60); // past the TTL
+    auto fresh = server.query(req);
+    ASSERT_TRUE(fresh.is_ok()) << fresh.status().to_string();
+    EXPECT_FALSE(fresh->cache_hit);
+    EXPECT_FALSE(fresh->degraded);
+    EXPECT_GT(fresh->execute_seconds, 0.0);
+    EXPECT_EQ(fresh->fingerprint, hit->fingerprint);
+    const ServerStats s = server.stats_snapshot();
+    EXPECT_EQ(s.executions, 2u);
+    EXPECT_EQ(s.cache_hits, 1u);
+}
+
+TEST(ServeTest, CancelledFollowerReturnsPromptly)
+{
+    // The follower's wait is event-driven: cancel() wakes it directly
+    // instead of waiting for the 400 ms leader to publish.
+    ScopedFaults faults("serve.execute:1x:23:delay=400");
+    ServerOptions options;
+    options.workers = 2;
+    Server server = make_server(options);
+    const Request req = bfs_on("Twitter", suite()[1].sources[0]);
+
+    auto leader = server.submit(req);
+    ASSERT_TRUE(leader.is_ok());
+    ASSERT_TRUE(eventually(
+        [&] { return server.stats_snapshot().executions == 1; }));
+    auto follower = server.submit(req);
+    ASSERT_TRUE(follower.is_ok());
+    ASSERT_TRUE(eventually(
+        [&] { return server.stats_snapshot().single_flight_joins == 1; }));
+
+    const auto begin = std::chrono::steady_clock::now();
+    follower->cancel();
+    auto cancelled = follower->wait();
+    const auto waited = std::chrono::steady_clock::now() - begin;
+    ASSERT_FALSE(cancelled.is_ok());
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+    EXPECT_LT(waited, std::chrono::milliseconds(50));
+
+    auto led = leader->wait();
+    ASSERT_TRUE(led.is_ok()) << led.status().to_string();
+    EXPECT_EQ(server.stats_snapshot().cancelled, 1u);
+}
+
+TEST(ServeTest, StatsInvariantsHoldAcrossMixedHitMissBurst)
+{
+    ServerOptions options;
+    options.workers = 2;
+    options.queue_capacity = 8;
+    Server server = make_server(options);
+    const std::vector<vid_t>& sources = suite()[0].sources;
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(server.query(bfs_on("Road", sources[i])).is_ok());
+
+    std::atomic<bool> done{false};
+    std::thread sampler([&] {
+        while (!done.load()) {
+            expect_invariants(server.stats_snapshot());
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+    });
+    // Half the draws hit the four warmed entries, half miss on sources
+    // that may shed, join, or execute.
+    std::vector<std::thread> clients;
+    for (int t = 0; t < 4; ++t) {
+        clients.emplace_back([&server, &sources, t] {
+            for (int i = 0; i < 40; ++i) {
+                const std::size_t pick =
+                    i % 2 == 0 ? static_cast<std::size_t>(i / 2 % 4)
+                               : static_cast<std::size_t>(4 + (t + i) % 12);
+                auto handle = server.submit(
+                    bfs_on("Road", sources[pick % sources.size()]));
+                if (handle.is_ok())
+                    (void)handle->wait();
+            }
+        });
+    }
+    for (auto& client : clients)
+        client.join();
+    done.store(true);
+    sampler.join();
+
+    server.shutdown();
+    const ServerStats s = server.stats_snapshot();
+    expect_invariants(s);
+    EXPECT_EQ(s.queue_depth, 0u);
+    EXPECT_EQ(s.submitted, s.completed);
+    EXPECT_GE(s.cache_hits, 80u); // every even draw is a warmed entry
+}
+
 // ----------------------------------------------------------- dyn / mutate
 
 /** A private single-graph suite for mutation tests: mutating the shared
@@ -680,6 +903,33 @@ TEST(ResultCacheTest, GenerationMismatchBehavesLikeExpiry)
     EXPECT_EQ(rehit.role, ResultCache::Role::kHit);
     EXPECT_EQ(rehit.generation, 1u);
     EXPECT_EQ(rehit.fingerprint, 43u);
+}
+
+TEST(ResultCacheTest, LookupFreshHasNoMissSideEffects)
+{
+    ResultCache cache(1 << 20);
+    // A miss counts nothing and opens no in-flight slot: the next
+    // lookup_or_join() still becomes the leader, not a follower.
+    EXPECT_EQ(cache.lookup_fresh("k", 0).value, nullptr);
+    EXPECT_EQ(cache.stats().misses, 0u);
+    auto leader = cache.lookup_or_join("k", 0);
+    ASSERT_EQ(leader.role, ResultCache::Role::kLeader);
+    EXPECT_EQ(cache.lookup_fresh("k", 0).value, nullptr); // in flight
+    auto value = int_result(3, 7);
+    cache.publish("k", leader.flight, support::Status::ok(), value, 42, 0);
+
+    const ResultCache::Cached hit = cache.lookup_fresh("k", 0);
+    EXPECT_EQ(hit.value, value);
+    EXPECT_EQ(hit.fingerprint, 42u);
+    EXPECT_EQ(hit.generation, 0u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+
+    // Another generation is not fresh, and still counts nothing.
+    EXPECT_EQ(cache.lookup_fresh("k", 1).value, nullptr);
+    const ResultCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 1u); // the leader's lookup_or_join only
+    EXPECT_EQ(stats.stale_generation_misses, 0u);
 }
 
 TEST(ServeDynTest, MutateInvalidatesCacheAndBumpsGeneration)
@@ -792,6 +1042,38 @@ TEST(ServeDynTest, StaleGenerationAnswersOnlyAllowStale)
     EXPECT_TRUE(degraded.value().degraded);
     EXPECT_EQ(degraded.value().generation, 0u);
     EXPECT_EQ(degraded.value().fingerprint, fingerprint);
+}
+
+TEST(ServeDynTest, OldGenerationEntryIsNotServedInline)
+{
+    ServerOptions options;
+    options.workers = 1;
+    Server server(mutable_suite(), frameworks(), options);
+    Request req;
+    req.framework = "GAP";
+    req.kernel = Kernel::kPR;
+    req.graph = "Mut";
+    ASSERT_TRUE(server.query(req).is_ok());
+    auto hit = server.submit(req);
+    ASSERT_TRUE(hit.is_ok());
+    ASSERT_TRUE(hit->wait_for(0).is_ok()); // generation 0: inline hit
+
+    dyn::MutationBatch batch;
+    batch.insert(3, 120);
+    ASSERT_TRUE(server.mutate("Mut", batch).is_ok());
+
+    // The generation-0 entry is still cached but no longer fresh: the
+    // answer comes from a leader, tagged with the new generation.
+    auto handle = server.submit(req);
+    ASSERT_TRUE(handle.is_ok());
+    auto got = handle->wait();
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    EXPECT_FALSE(got->cache_hit);
+    EXPECT_GT(got->execute_seconds, 0.0);
+    EXPECT_EQ(got->generation, 1u);
+    const ServerStats s = server.stats_snapshot();
+    EXPECT_EQ(s.executions, 2u);
+    EXPECT_EQ(s.cache_hits, 1u);
 }
 
 TEST(ServeDynTest, WritesMutationRecords)

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# CI entry point: tier-1 verification, an AddressSanitizer pass over
+# CI entry point: a check that every perf record perf/baselines/README.md
+# names is present, tier-1 verification, an AddressSanitizer pass over
 # the graph-store and GraphBLAS tests (the code most exposed to the
 # zero-copy view lifetimes introduced by the GraphStore refactor), a
 # ThreadSanitizer pass over the tracing, thread-pool, and serve tests
@@ -45,6 +46,17 @@ set -eu
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
+
+echo "== tier 0: perf records named in perf/baselines/README.md exist =="
+missing=0
+for record in $(grep -oE '[A-Za-z0-9_]+\.jsonl' perf/baselines/README.md |
+    sort -u); do
+    if [ ! -f "perf/baselines/$record" ]; then
+        echo "perf/baselines/$record is named in the README but missing" >&2
+        missing=1
+    fi
+done
+[ "$missing" -eq 0 ]
 
 echo "== tier 1: configure + build + full test suite =="
 cmake -B "$BUILD_DIR" -S .
