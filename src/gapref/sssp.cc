@@ -60,7 +60,7 @@ sssp(const WCSRGraph& g, vid_t source, weight_t delta)
             for (const graph::WNode& wn : g.out_neigh(u)) {
                 ++edges_scanned;
                 weight_t old_dist = par::atomic_load(dist[wn.v]);
-                const weight_t new_dist = dist[u] + wn.w;
+                const weight_t new_dist = par::atomic_load(dist[u]) + wn.w;
                 while (new_dist < old_dist) {
                     if (par::compare_and_swap(dist[wn.v], old_dist,
                                               new_dist)) {
@@ -87,9 +87,9 @@ sssp(const WCSRGraph& g, vid_t source, weight_t delta)
             for (std::size_t i = lane; i < curr_tail;
                  i += static_cast<std::size_t>(lanes)) {
                 const vid_t u = frontier[i];
-                if (dist[u] >= static_cast<weight_t>(
-                                   delta *
-                                   static_cast<weight_t>(curr_bin_index))) {
+                if (par::atomic_load(dist[u]) >=
+                    static_cast<weight_t>(
+                        delta * static_cast<weight_t>(curr_bin_index))) {
                     relax_edges(u);
                 }
             }

@@ -9,42 +9,6 @@ namespace gm::serve
 namespace
 {
 
-/** Telemetry for breaker state machines.  Transition counters are keyed
- *  by destination state; per-cell gauges encode the state as a number
- *  (0 = closed, 1 = open, 2 = half_open); open_cells counts cells not
- *  currently closed.  Handles resolve lazily (transitions are rare and
- *  already hold the breaker mutex). */
-struct BreakerTelemetry
-{
-    telemetry::Counter& to_open;
-    telemetry::Counter& to_half_open;
-    telemetry::Counter& to_closed;
-    telemetry::Gauge& open_cells;
-
-    BreakerTelemetry()
-        : to_open(telemetry::Registry::global().counter(telemetry::labeled(
-              "gm_serve_breaker_transitions_total", {{"to", "open"}}))),
-          to_half_open(
-              telemetry::Registry::global().counter(telemetry::labeled(
-                  "gm_serve_breaker_transitions_total",
-                  {{"to", "half_open"}}))),
-          to_closed(
-              telemetry::Registry::global().counter(telemetry::labeled(
-                  "gm_serve_breaker_transitions_total",
-                  {{"to", "closed"}}))),
-          open_cells(telemetry::Registry::global().gauge(
-              "gm_serve_breaker_open_cells"))
-    {
-    }
-};
-
-BreakerTelemetry&
-breaker_telemetry()
-{
-    static BreakerTelemetry* t = new BreakerTelemetry();
-    return *t;
-}
-
 double
 state_number(CircuitBreaker::State state)
 {
@@ -61,10 +25,38 @@ state_number(CircuitBreaker::State state)
 
 } // namespace
 
+/** Telemetry for breaker state machines.  Transition counters are keyed
+ *  by destination state; per-cell gauges encode the state as a number
+ *  (0 = closed, 1 = open, 2 = half_open) and resolve lazily (transitions
+ *  are rare and already hold the breaker mutex); open_cells counts cells
+ *  not currently closed. */
+struct CircuitBreaker::Telemetry
+{
+    telemetry::Registry& registry;
+    telemetry::Counter& to_open;
+    telemetry::Counter& to_half_open;
+    telemetry::Counter& to_closed;
+    telemetry::Gauge& open_cells;
+
+    explicit Telemetry(telemetry::Registry& reg)
+        : registry(reg),
+          to_open(reg.counter(telemetry::labeled(
+              "gm_serve_breaker_transitions_total", {{"to", "open"}}))),
+          to_half_open(reg.counter(telemetry::labeled(
+              "gm_serve_breaker_transitions_total", {{"to", "half_open"}}))),
+          to_closed(reg.counter(telemetry::labeled(
+              "gm_serve_breaker_transitions_total", {{"to", "closed"}}))),
+          open_cells(reg.gauge("gm_serve_breaker_open_cells"))
+    {
+    }
+};
+
 CircuitBreaker::CircuitBreaker(BreakerOptions options,
-                               support::Clock* clock)
+                               support::Clock* clock,
+                               telemetry::Registry& registry)
     : options_(options),
-      clock_(clock != nullptr ? clock : support::Clock::system())
+      clock_(clock != nullptr ? clock : support::Clock::system()),
+      tm_(std::make_unique<Telemetry>(registry))
 {
     GM_ASSERT(options_.failure_threshold >= 1,
               "breaker needs failure_threshold >= 1");
@@ -76,6 +68,8 @@ CircuitBreaker::CircuitBreaker(BreakerOptions options,
     GM_ASSERT(options_.close_successes >= 1,
               "breaker needs close_successes >= 1");
 }
+
+CircuitBreaker::~CircuitBreaker() = default;
 
 const char*
 CircuitBreaker::to_string(State state)
@@ -113,7 +107,7 @@ CircuitBreaker::transition(const std::string& name, Cell& cell, State to,
         return;
     transitions_.push_back(
         {name, cell.state, to, now_ns, transition_seq_++});
-    BreakerTelemetry& bt = breaker_telemetry();
+    Telemetry& bt = *tm_;
     switch (to) {
       case State::kOpen:
         bt.to_open.inc();
@@ -129,7 +123,7 @@ CircuitBreaker::transition(const std::string& name, Cell& cell, State to,
         bt.open_cells.add(1);
     else if (cell.state != State::kClosed && to == State::kClosed)
         bt.open_cells.add(-1);
-    telemetry::Registry::global()
+    bt.registry
         .gauge(telemetry::labeled("gm_serve_breaker_state",
                                   {{"cell", name}}))
         .set(state_number(to));

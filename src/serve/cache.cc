@@ -1,17 +1,16 @@
 #include "gm/serve/cache.hh"
 
+#include <chrono>
+
 #include "gm/support/fault_injector.hh"
+#include "gm/support/timer.hh"
 #include "gm/telemetry/registry.hh"
 
 namespace gm::serve
 {
 
-namespace
-{
-
-/** Live-telemetry handles for the cache, acquired once per process.
- *  Probes no-op unless a Server has enabled the global registry. */
-struct CacheTelemetry
+/** Live-telemetry handles for one cache, acquired at construction. */
+struct ResultCache::Telemetry
 {
     telemetry::Counter& hits;
     telemetry::Counter& misses;
@@ -24,39 +23,66 @@ struct CacheTelemetry
     telemetry::Gauge& bytes;
     telemetry::Gauge& entries;
 
-    CacheTelemetry()
-        : hits(telemetry::Registry::global().counter(
-              "gm_serve_cache_hits_total")),
-          misses(telemetry::Registry::global().counter(
-              "gm_serve_cache_misses_total")),
-          expired_misses(telemetry::Registry::global().counter(
-              "gm_serve_cache_expired_misses_total")),
-          stale_generation_misses(telemetry::Registry::global().counter(
-              "gm_serve_cache_stale_generation_misses_total")),
-          joins(telemetry::Registry::global().counter(
-              "gm_serve_cache_joins_total")),
-          insertions(telemetry::Registry::global().counter(
-              "gm_serve_cache_insertions_total")),
-          evictions(telemetry::Registry::global().counter(
-              "gm_serve_cache_evictions_total")),
-          stale_serves(telemetry::Registry::global().counter(
-              "gm_serve_cache_stale_serves_total")),
-          bytes(telemetry::Registry::global().gauge(
-              "gm_serve_cache_bytes")),
-          entries(telemetry::Registry::global().gauge(
-              "gm_serve_cache_entries"))
+    explicit Telemetry(telemetry::Registry& reg)
+        : hits(reg.counter("gm_serve_cache_hits_total")),
+          misses(reg.counter("gm_serve_cache_misses_total")),
+          expired_misses(reg.counter("gm_serve_cache_expired_misses_total")),
+          stale_generation_misses(
+              reg.counter("gm_serve_cache_stale_generation_misses_total")),
+          joins(reg.counter("gm_serve_cache_joins_total")),
+          insertions(reg.counter("gm_serve_cache_insertions_total")),
+          evictions(reg.counter("gm_serve_cache_evictions_total")),
+          stale_serves(reg.counter("gm_serve_cache_stale_serves_total")),
+          bytes(reg.gauge("gm_serve_cache_bytes")),
+          entries(reg.gauge("gm_serve_cache_entries"))
     {
     }
 };
 
-CacheTelemetry&
-cache_telemetry()
+ResultCache::ResultCache(std::size_t capacity_bytes, std::int64_t ttl_ns,
+                         support::Clock* clock,
+                         telemetry::Registry& registry)
+    : capacity_bytes_(capacity_bytes),
+      ttl_ns_(ttl_ns),
+      clock_(clock != nullptr ? clock : support::Clock::system()),
+      tm_(std::make_unique<Telemetry>(registry))
 {
-    static CacheTelemetry* t = new CacheTelemetry();
-    return *t;
 }
 
-} // namespace
+ResultCache::~ResultCache() = default;
+
+bool
+ResultCache::Inflight::wait(const std::function<bool()>& stopped,
+                            std::int64_t deadline_ns)
+{
+    std::unique_lock<std::mutex> lock(mu);
+    while (!done) {
+        if (stopped() ||
+            (deadline_ns != 0 && Timer::now_ns() >= deadline_ns))
+            return false;
+        if (deadline_ns == 0)
+            cv.wait(lock);
+        else
+            cv.wait_for(lock,
+                        std::chrono::nanoseconds(deadline_ns - Timer::now_ns()));
+    }
+    return true;
+}
+
+support::Status
+ResultCache::Inflight::follower_status() const
+{
+    switch (status.code()) {
+      case support::StatusCode::kTimeout:
+      case support::StatusCode::kDeadlineExceeded:
+      case support::StatusCode::kCancelled:
+        return support::Status(support::StatusCode::kCancelled,
+                               "single-flight leader abandoned; safe to "
+                               "retry");
+      default:
+        return status; // ok, or a failure a retry would repeat
+    }
+}
 
 bool
 ResultCache::take_hit(Entry& entry, std::uint64_t generation, Cached& out)
@@ -65,7 +91,7 @@ ResultCache::take_hit(Entry& entry, std::uint64_t generation, Cached& out)
         return false;
     lru_.splice(lru_.begin(), lru_, entry.lru_it);
     ++counters_.hits;
-    cache_telemetry().hits.inc();
+    tm_->hits.inc();
     out.value = entry.value;
     out.fingerprint = entry.fingerprint;
     out.generation = entry.generation;
@@ -97,14 +123,14 @@ ResultCache::lookup_or_join(const std::string& key,
         // fresh leader's publish() replaces it.
         if (it->second.generation == generation) {
             ++counters_.expired_misses;
-            cache_telemetry().expired_misses.inc();
+            tm_->expired_misses.inc();
         } else {
             ++counters_.stale_generation_misses;
-            cache_telemetry().stale_generation_misses.inc();
+            tm_->stale_generation_misses.inc();
         }
     }
     ++counters_.misses;
-    cache_telemetry().misses.inc();
+    tm_->misses.inc();
     auto [it, inserted] = inflight_.try_emplace(key);
     if (inserted)
         it->second = std::make_shared<Inflight>();
@@ -113,7 +139,7 @@ ResultCache::lookup_or_join(const std::string& key,
     miss.flight = it->second;
     if (!inserted) {
         ++counters_.joins;
-        cache_telemetry().joins.inc();
+        tm_->joins.inc();
     }
     return miss;
 }
@@ -133,7 +159,7 @@ ResultCache::peek(const std::string& key, std::uint64_t generation)
                 !expired(it->second, clock_->now_ns());
     if (!out.fresh) {
         ++counters_.stale_serves;
-        cache_telemetry().stale_serves.inc();
+        tm_->stale_serves.inc();
     }
     return out;
 }
@@ -180,7 +206,7 @@ ResultCache::publish(const std::string& key,
                     entries_.erase(vit);
                     lru_.pop_back();
                     ++counters_.evictions;
-                    cache_telemetry().evictions.inc();
+                    tm_->evictions.inc();
                 }
                 lru_.push_front(key);
                 entries_[key] = Entry{value, fingerprint, generation,
@@ -188,11 +214,11 @@ ResultCache::publish(const std::string& key,
                                       lru_.begin()};
                 bytes_ += bytes;
                 ++counters_.insertions;
-                cache_telemetry().insertions.inc();
+                tm_->insertions.inc();
             }
         }
-        cache_telemetry().bytes.set(static_cast<double>(bytes_));
-        cache_telemetry().entries.set(
+        tm_->bytes.set(static_cast<double>(bytes_));
+        tm_->entries.set(
             static_cast<double>(entries_.size()));
     }
     {
@@ -224,8 +250,8 @@ ResultCache::clear()
     entries_.clear();
     lru_.clear();
     bytes_ = 0;
-    cache_telemetry().bytes.set(0);
-    cache_telemetry().entries.set(0);
+    tm_->bytes.set(0);
+    tm_->entries.set(0);
 }
 
 } // namespace gm::serve

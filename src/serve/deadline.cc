@@ -8,36 +8,12 @@
 namespace gm::serve
 {
 
-namespace
+DeadlineScheduler::DeadlineScheduler(telemetry::Registry& registry)
+    : armed_(registry.gauge("gm_serve_deadline_armed")),
+      fired_(registry.counter("gm_serve_deadline_fired_total")),
+      thread_([this] { loop(); })
 {
-
-/** Armed-timer gauge (heap occupancy) + fired-deadline counter.  A timer
- *  "fires" when its deadline passes, whether or not the request is still
- *  running — completed requests keep their timer until expiry. */
-struct DeadlineTelemetry
-{
-    telemetry::Gauge& armed;
-    telemetry::Counter& fired;
-
-    DeadlineTelemetry()
-        : armed(telemetry::Registry::global().gauge(
-              "gm_serve_deadline_armed")),
-          fired(telemetry::Registry::global().counter(
-              "gm_serve_deadline_fired_total"))
-    {
-    }
-};
-
-DeadlineTelemetry&
-deadline_telemetry()
-{
-    static DeadlineTelemetry* t = new DeadlineTelemetry();
-    return *t;
 }
-
-} // namespace
-
-DeadlineScheduler::DeadlineScheduler() : thread_([this] { loop(); }) {}
 
 DeadlineScheduler::~DeadlineScheduler()
 {
@@ -49,7 +25,7 @@ DeadlineScheduler::~DeadlineScheduler()
     thread_.join();
     // Timers still armed at teardown (requests that finished before
     // their deadline) leave the gauge; zero it out.
-    deadline_telemetry().armed.add(-static_cast<double>(heap_.size()));
+    armed_.add(-static_cast<double>(heap_.size()));
 }
 
 void
@@ -59,7 +35,7 @@ DeadlineScheduler::arm(std::int64_t deadline_ns,
     {
         std::lock_guard<std::mutex> lock(mu_);
         heap_.push(Armed{deadline_ns, std::move(token)});
-        deadline_telemetry().armed.add(1);
+        armed_.add(1);
     }
     cv_.notify_all();
 }
@@ -85,8 +61,8 @@ DeadlineScheduler::loop()
                heap_.top().deadline_ns <= Timer::now_ns()) {
             heap_.top().token->request();
             heap_.pop();
-            deadline_telemetry().armed.add(-1);
-            deadline_telemetry().fired.inc();
+            armed_.add(-1);
+            fired_.inc();
         }
     }
 }

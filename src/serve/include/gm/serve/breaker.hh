@@ -29,12 +29,14 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "gm/support/clock.hh"
+#include "gm/telemetry/registry.hh"
 
 namespace gm::serve
 {
@@ -80,8 +82,12 @@ class CircuitBreaker
         std::uint64_t seq = 0; ///< global transition sequence number
     };
 
-    explicit CircuitBreaker(BreakerOptions options,
-                            support::Clock* clock = nullptr);
+    /** The gm_serve_breaker_* series are registered in @p registry (a
+     *  Server passes its own). */
+    explicit CircuitBreaker(
+        BreakerOptions options, support::Clock* clock = nullptr,
+        telemetry::Registry& registry = telemetry::Registry::global());
+    ~CircuitBreaker();
 
     /** Gate one request for @p cell (advances open -> half-open). */
     Gate admit(const std::string& cell);
@@ -124,8 +130,12 @@ class CircuitBreaker
                     std::int64_t now_ns);
     void prune(Cell& cell, std::int64_t now_ns) const;
 
+    /** Registry handles for the gm_serve_breaker_* series (breaker.cc). */
+    struct Telemetry;
+
     BreakerOptions options_;
     support::Clock* clock_;
+    const std::unique_ptr<Telemetry> tm_;
 
     mutable std::mutex mu_;
     std::unordered_map<std::string, Cell> cells_;

@@ -46,6 +46,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -55,6 +56,7 @@
 #include "gm/serve/request.hh"
 #include "gm/support/clock.hh"
 #include "gm/support/status.hh"
+#include "gm/telemetry/registry.hh"
 
 namespace gm::serve
 {
@@ -67,10 +69,23 @@ class ResultCache
      * Rendezvous between a single-flight leader and its followers.  The
      * leader fills the fields and flips done under mu, then notifies cv;
      * followers wait on cv until done, their own deadline, or a cancel
-     * (Server::Handle::cancel() notifies the flight its request joined).
+     * (the server's handles notify the flights their requests joined).
      */
     struct Inflight
     {
+        /** Follower side: block until the leader publishes (true), or
+         *  until @p stopped() holds or @p deadline_ns (Timer::now_ns();
+         *  0 = none) passes (false).  Event-driven: publish() and
+         *  cancels notify cv, so the deadline is the only timed bound. */
+        bool wait(const std::function<bool()>& stopped,
+                  std::int64_t deadline_ns);
+
+        /** A follower's answer once published: ok (read value and the
+         *  other fields), kCancelled when the leader was abandoned for
+         *  reasons unrelated to the query (safe to retry), or the
+         *  leader's deterministic failure. */
+        support::Status follower_status() const;
+
         std::mutex mu;
         std::condition_variable cv;
         bool done = false;
@@ -132,16 +147,14 @@ class ResultCache
     /**
      * @p ttl_ns > 0 ages entries (0 = never expire); @p clock is the
      * time source for TTLs (defaults to the system clock; tests inject a
-     * ManualClock).
+     * ManualClock).  The gm_serve_cache_* series are registered in
+     * @p registry (a Server passes its own).
      */
-    explicit ResultCache(std::size_t capacity_bytes,
-                         std::int64_t ttl_ns = 0,
-                         support::Clock* clock = nullptr)
-        : capacity_bytes_(capacity_bytes),
-          ttl_ns_(ttl_ns),
-          clock_(clock != nullptr ? clock : support::Clock::system())
-    {
-    }
+    explicit ResultCache(
+        std::size_t capacity_bytes, std::int64_t ttl_ns = 0,
+        support::Clock* clock = nullptr,
+        telemetry::Registry& registry = telemetry::Registry::global());
+    ~ResultCache();
 
     /** Resolve @p key against data generation @p generation; see the
      *  role taxonomy above.  An entry from another generation is treated
@@ -205,9 +218,13 @@ class ResultCache
      *  the hit, touch LRU order, copy it into @p out, and return true. */
     bool take_hit(Entry& entry, std::uint64_t generation, Cached& out);
 
+    /** Registry handles for the gm_serve_cache_* series (cache.cc). */
+    struct Telemetry;
+
     std::size_t capacity_bytes_;
     std::int64_t ttl_ns_;
     support::Clock* clock_;
+    const std::unique_ptr<Telemetry> tm_;
 
     mutable std::mutex mu_;
     std::size_t bytes_ = 0;

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "gm/support/watchdog.hh"
+#include "gm/telemetry/registry.hh"
 
 namespace gm::serve
 {
@@ -33,7 +34,12 @@ namespace gm::serve
 class DeadlineScheduler
 {
   public:
-    DeadlineScheduler();
+    /** Registers gm_serve_deadline_armed (heap occupancy) and
+     *  gm_serve_deadline_fired_total in @p registry (a Server passes its
+     *  own).  A timer "fires" when its deadline passes, whether or not
+     *  the request is still running. */
+    explicit DeadlineScheduler(
+        telemetry::Registry& registry = telemetry::Registry::global());
     ~DeadlineScheduler();
 
     DeadlineScheduler(const DeadlineScheduler&) = delete;
@@ -62,7 +68,9 @@ class DeadlineScheduler
     std::priority_queue<Armed, std::vector<Armed>, std::greater<Armed>>
         heap_;
     bool stop_ = false;
-    std::thread thread_;
+    telemetry::Gauge& armed_;
+    telemetry::Counter& fired_;
+    std::thread thread_; ///< last: starts after every other member
 };
 
 } // namespace gm::serve

@@ -39,6 +39,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -59,6 +60,7 @@
 #include "gm/serve/retry.hh"
 #include "gm/support/clock.hh"
 #include "gm/support/status.hh"
+#include "gm/telemetry/registry.hh"
 #include "gm/telemetry/slo.hh"
 
 namespace gm::telemetry
@@ -122,14 +124,10 @@ struct ServerOptions
      *  line per refused attempt, and "serve.slo.burn" lines on SLO
      *  monitor transitions); "" = off. */
     std::string metrics_path;
-    /** Register serve metrics in telemetry::Registry::global() and keep
-     *  the registry enabled for the server's lifetime.  Counters are
-     *  process-wide and cumulative: two servers in one process share
-     *  (and both advance) the same series. */
-    bool enable_telemetry = true;
-    /** Serve the Prometheus-style text exposition from a blocking TCP
-     *  listener on 127.0.0.1:<metrics_port>.  -1 = off; 0 = pick an
-     *  ephemeral port (read it back with Server::metrics_port()). */
+    /** Serve the Prometheus-style text exposition of this server's
+     *  registry from a blocking TCP listener on 127.0.0.1:<metrics_port>.
+     *  -1 = off; 0 = pick an ephemeral port (read it back with
+     *  Server::metrics_port()). */
     int metrics_port = -1;
     /** Append one {"kind":"serve.telemetry"} registry snapshot line
      *  every telemetry_flush_ms (crash-safe JSONL); "" = off. */
@@ -238,9 +236,9 @@ struct PlanResult
 };
 
 /**
- * Point-in-time server counters (cache figures folded in).  The snapshot
- * is coherent: it is taken under the same lock every mutation holds, so
- * the invariants hold in any snapshot, mid-flight or not:
+ * Point-in-time server counters (cache figures folded in), read back from
+ * the server's telemetry registry — the same series its /metrics endpoint
+ * exposes.  The invariants hold in any snapshot, mid-flight or not:
  *
  *     completed == succeeded + deadline_exceeded + cancelled + failed
  *     submitted >= completed + queue_depth
@@ -433,10 +431,12 @@ class Server
     support::StatusOr<PlanResult> run_plan(const PlanRequest& request);
 
     /**
-     * Coherent point-in-time counters: the snapshot is assembled under
-     * the same stats mutex every mutation holds, so the ServerStats
-     * invariants hold in any snapshot, mid-storm included.  This is the
-     * one sanctioned way to read server counters.
+     * Coherent point-in-time counters, derived from the server's registry
+     * without a lock: every series is bumped cause-first (submitted
+     * before its outcome, succeeded before degraded) and read effect-
+     * first, so the ServerStats invariants hold in any snapshot, mid-
+     * storm included.  This is the one sanctioned way to read server
+     * counters.
      */
     ServerStats stats_snapshot() const;
 
@@ -465,51 +465,15 @@ class Server
     void shutdown();
 
   private:
-    /** All mutable counters behind one lock; see ServerStats. */
-    struct Counters
-    {
-        std::uint64_t submitted = 0;
-        std::uint64_t shed = 0;
-        std::uint64_t infeasible = 0;
-        std::uint64_t unavailable = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t succeeded = 0;
-        std::uint64_t degraded = 0;
-        std::uint64_t deadline_exceeded = 0;
-        std::uint64_t cancelled = 0;
-        std::uint64_t failed = 0;
-        std::uint64_t executions = 0;
-        std::uint64_t lanes_granted = 0;
-        std::uint64_t cache_hits = 0;
-        std::uint64_t single_flight_joins = 0;
-        std::uint64_t retries = 0;
-        std::uint64_t retry_denied = 0;
-        std::uint64_t mutations = 0;
-        std::uint64_t mutation_inserted_arcs = 0;
-        std::uint64_t mutation_deleted_arcs = 0;
-        std::uint64_t compactions = 0;
-        std::uint64_t dyn_incremental = 0;
-        std::uint64_t dyn_full = 0;
-        std::uint64_t plans_submitted = 0;
-        std::uint64_t plans_completed = 0;
-        std::uint64_t plans_failed = 0;
-        std::uint64_t plan_nodes = 0;
-        std::uint64_t plan_nodes_executed = 0;
-        std::uint64_t plan_node_cache_hits = 0;
-        std::uint64_t plan_nodes_shared = 0;
-        std::uint64_t plan_fused_sweeps = 0;
-        std::uint64_t plan_sources_fused = 0;
-        std::size_t queue_depth = 0;
-    };
-
     void worker_loop();
     void process(const std::shared_ptr<detail::RequestState>& state);
     /** Block until @p width lanes fit in the budget and charge them;
-     *  false (nothing charged) if the request is cancelled or its
-     *  deadline passes while waiting.  Event-driven: woken by
-     *  release_lanes(), Handle::cancel(), and shutdown(), with the
-     *  request deadline as the only timed bound. */
-    bool acquire_lanes(const detail::RequestState& state, int width);
+     *  false (nothing charged) once @p stopped() holds or @p deadline_ns
+     *  (0 = none) passes while waiting.  Event-driven: woken by
+     *  release_lanes(), the handles' cancel(), and shutdown(), with the
+     *  deadline as the only timed bound. */
+    bool acquire_lanes(const std::function<bool()>& stopped,
+                       std::int64_t deadline_ns, int width);
     void release_lanes(int width);
     /** Quiesce kernel execution: block until no leader holds lanes, then
      *  charge the entire budget (mutations run exclusively). */
@@ -545,6 +509,9 @@ class Server
                               const obs::TraceSession& session);
     /** Append drained breaker transitions to the metrics stream. */
     void flush_breaker_transitions();
+    /** Append @p line plus a newline to the JSONL file at @p path;
+     *  serialized across writers by metrics_mu_. */
+    void append_line(const std::string& path, const std::string& line);
     /** Fresh nonzero request-scoped trace id (SplitMix64 over a
      *  per-server sequence). */
     std::uint64_t mint_trace_id();
@@ -571,11 +538,6 @@ class Server
     /** Serve one plan node — cache hit, single-flight join, or leader
      *  execution under the lane budget; fills state.node_results[id]. */
     void plan_run_node(detail::PlanState& state, int id);
-    /** acquire_lanes for a plan node: bounded by the node's deadline and
-     *  woken by release_lanes / PlanHandle::cancel / shutdown. */
-    bool plan_acquire_lanes(const detail::PlanState& state,
-                            const support::CancelToken& node_token,
-                            std::int64_t deadline_ns, int width);
     /** {"kind":"serve.plan"} JSONL record for one finished plan. */
     void write_plan_record(detail::PlanState& state);
     /** Join driver threads whose plans have settled (all of them when
@@ -587,6 +549,13 @@ class Server
     std::vector<harness::Framework> frameworks_;
     ServerOptions options_;
     support::Clock* clock_;
+    /** This server's only counter store, enabled for its lifetime: the
+     *  cache, breaker, and deadline timer below record into it, tm_
+     *  holds its serve handles, and /metrics, the telemetry snapshots,
+     *  and stats_snapshot() all read it.  Declared before its users. */
+    telemetry::Registry registry_;
+    /** Pre-acquired handles into registry_; never null. */
+    const std::unique_ptr<detail::ServeTelemetry> tm_;
     ResultCache cache_;
     CircuitBreaker breaker_;
     RetryBudget retry_budget_;
@@ -620,11 +589,6 @@ class Server
      *  monotone gm_dyn_generation gauge value.  Guarded by dyn_mu_. */
     std::uint64_t dyn_generation_peak_ = 0;
 
-    mutable std::mutex stats_mu_; ///< guards counters_ as one snapshot
-    Counters counters_;
-
-    /** Pre-acquired registry handles (null when telemetry disabled). */
-    std::unique_ptr<detail::ServeTelemetry> tm_;
     telemetry::SloMonitor slo_;
     std::atomic<std::int64_t> last_slo_eval_ns_{0};
     std::unique_ptr<telemetry::MetricsListener> listener_;

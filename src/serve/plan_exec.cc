@@ -20,9 +20,6 @@
  * same graph and source.
  */
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -108,16 +105,6 @@ classify_node_cancel(const PlanState& state, std::int64_t deadline_ns)
     return Status(StatusCode::kCancelled, "plan cancelled by caller");
 }
 
-/** Trace ids render as fixed-width hex, matching the query records. */
-std::string
-plan_trace_hex(std::uint64_t trace_id)
-{
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(trace_id));
-    return std::string(hex);
-}
-
 } // namespace
 
 StatusOr<Server::PlanHandle>
@@ -128,13 +115,8 @@ Server::submit_plan(PlanRequest request)
     if (fw == nullptr)
         return Status(StatusCode::kInvalidInput,
                       "unknown framework: " + request.framework);
-    std::shared_ptr<const harness::Dataset> ds;
-    for (const auto& candidate : suite_.datasets) {
-        if (candidate->name == request.graph) {
-            ds = candidate;
-            break;
-        }
-    }
+    std::shared_ptr<const harness::Dataset> ds =
+        detail::find_dataset(suite_, request.graph);
     if (ds == nullptr)
         return Status(StatusCode::kInvalidInput,
                       "unknown graph: " + request.graph);
@@ -199,22 +181,16 @@ Server::submit_plan(PlanRequest request)
                 ++it;
             }
         }
+        // Counted before the driver starts, so no scrape can see the
+        // plan's completion without its submission.
+        tm_->plans_submitted->inc();
+        tm_->plan_nodes->inc(static_cast<std::uint64_t>(size));
+        tm_->plan_inflight->add(1);
         PlanRunner runner;
         runner.state = state;
         runner.thread =
             std::thread([this, state] { plan_driver(state); });
         plan_runners_.push_back(std::move(runner));
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.plans_submitted;
-        counters_.plan_nodes += static_cast<std::uint64_t>(size);
-    }
-    if (tm_ != nullptr) {
-        tm_->plans_submitted->inc();
-        tm_->plan_nodes->inc(static_cast<std::uint64_t>(size));
-        tm_->plan_inflight->add(1);
     }
     return PlanHandle(state);
 }
@@ -305,40 +281,20 @@ Server::plan_driver(const std::shared_ptr<PlanState>& state)
         static_cast<double>(done_ns - state->submit_ns) * 1e-9;
     result.nodes = state->node_results;
 
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.plans_completed;
-        if (!status.is_ok())
-            ++counters_.plans_failed;
-        counters_.plan_nodes_executed +=
-            static_cast<std::uint64_t>(result.executed);
-        counters_.plan_node_cache_hits +=
-            static_cast<std::uint64_t>(result.cache_hits);
-        counters_.plan_nodes_shared +=
-            static_cast<std::uint64_t>(result.shared);
-        counters_.plan_fused_sweeps +=
-            static_cast<std::uint64_t>(result.fused_sweeps);
-        counters_.plan_sources_fused +=
-            static_cast<std::uint64_t>(result.sources_fused);
-    }
-    if (tm_ != nullptr) {
-        tm_->plans_completed->inc();
-        if (!status.is_ok())
-            tm_->plans_failed->inc();
-        tm_->plan_nodes_executed->inc(
-            static_cast<std::uint64_t>(result.executed));
-        tm_->plan_node_cache_hits->inc(
-            static_cast<std::uint64_t>(result.cache_hits));
-        tm_->plan_nodes_shared->inc(
-            static_cast<std::uint64_t>(result.shared));
-        tm_->plan_fused_sweeps->inc(
-            static_cast<std::uint64_t>(result.fused_sweeps));
-        tm_->plan_sources_fused->inc(
-            static_cast<std::uint64_t>(result.sources_fused));
-        tm_->plan_inflight->add(-1);
-        tm_->plan_service_ns->record(static_cast<std::uint64_t>(
-            std::max<std::int64_t>(0, done_ns - state->submit_ns)));
-    }
+    tm_->plans_completed->inc();
+    if (!status.is_ok())
+        tm_->plans_failed->inc();
+    tm_->plan_nodes_executed->inc(static_cast<std::uint64_t>(result.executed));
+    tm_->plan_node_cache_hits->inc(
+        static_cast<std::uint64_t>(result.cache_hits));
+    tm_->plan_nodes_shared->inc(static_cast<std::uint64_t>(result.shared));
+    tm_->plan_fused_sweeps->inc(
+        static_cast<std::uint64_t>(result.fused_sweeps));
+    tm_->plan_sources_fused->inc(
+        static_cast<std::uint64_t>(result.sources_fused));
+    tm_->plan_inflight->add(-1);
+    tm_->plan_service_ns->record(static_cast<std::uint64_t>(
+        std::max<std::int64_t>(0, done_ns - state->submit_ns)));
     {
         std::lock_guard<std::mutex> lock(state->mu);
         state->status = status;
@@ -358,6 +314,9 @@ Server::plan_run_node(PlanState& state, int id)
         state.node_results[static_cast<std::size_t>(id)];
     const support::CancelToken& node_token =
         *state.node_tokens[static_cast<std::size_t>(id)];
+    const auto stopped = [&state, &node_token] {
+        return state.token->requested() || node_token.requested();
+    };
     const std::int64_t start_ns = Timer::now_ns();
     const std::int64_t deadline_ns =
         state.req.node_deadline_ms > 0
@@ -406,37 +365,26 @@ Server::plan_run_node(PlanState& state, int id)
           return;
       }
       case ResultCache::Role::kFollower: {
-          // Short polls: exits on the plan's cancel or this node's
-          // deadline (the deadline timer raises the node token).
-          ResultCache::Inflight& flight = *lookup.flight;
-          std::unique_lock<std::mutex> lock(flight.mu);
-          while (!flight.done) {
-              if (state.token->requested() || node_token.requested()) {
-                  out.status = classify_node_cancel(state, deadline_ns);
-                  return;
-              }
-              flight.cv.wait_for(lock, std::chrono::milliseconds(2));
+          // Recorded on the plan first, so PlanHandle::cancel() can wake
+          // this wait (see RequestState::flight).
+          {
+              std::lock_guard<std::mutex> lock(state.mu);
+              state.flights.push_back(lookup.flight);
           }
-          if (flight.status.is_ok()) {
+          ResultCache::Inflight& flight = *lookup.flight;
+          if (!flight.wait(stopped, deadline_ns)) {
+              out.status = classify_node_cancel(state, deadline_ns);
+              return;
+          }
+          out.status = flight.follower_status();
+          if (out.status.is_ok()) {
               out.value = flight.value;
               out.fingerprint = flight.fingerprint;
               out.shared_execution = true;
               state.node_generations[static_cast<std::size_t>(id)] =
                   flight.generation;
-              return;
           }
-          switch (flight.status.code()) {
-            case StatusCode::kTimeout:
-            case StatusCode::kDeadlineExceeded:
-            case StatusCode::kCancelled:
-              out.status = Status(
-                  StatusCode::kCancelled,
-                  "single-flight leader abandoned; safe to retry");
-              return;
-            default:
-              out.status = flight.status;
-              return;
-          }
+          return;
       }
       case ResultCache::Role::kLeader:
         break;
@@ -446,7 +394,7 @@ Server::plan_run_node(PlanState& state, int id)
     // publish.  publish() runs on every path out of this block — a
     // leader that never publishes would hang its followers.
     const int width = node_width(node, state.req.width);
-    if (!plan_acquire_lanes(state, node_token, deadline_ns, width)) {
+    if (!acquire_lanes(stopped, deadline_ns, width)) {
         out.status = classify_node_cancel(state, deadline_ns);
         cache_.publish(key, lookup.flight, out.status, nullptr, 0, 0);
         return;
@@ -497,42 +445,8 @@ Server::plan_run_node(PlanState& state, int id)
         out.fingerprint = fingerprint;
         state.node_generations[static_cast<std::size_t>(id)] = generation;
     }
-    if (tm_ != nullptr)
-        tm_->plan_node_execute_ns->record(static_cast<std::uint64_t>(
-            std::max<std::int64_t>(0, exec_ns)));
-}
-
-bool
-Server::plan_acquire_lanes(const PlanState& state,
-                           const support::CancelToken& node_token,
-                           std::int64_t deadline_ns, int width)
-{
-    detail::LaneGate& gate = *state.gate;
-    std::unique_lock<std::mutex> lock(gate.mu);
-    for (;;) {
-        if (state.token->requested() || node_token.requested())
-            return false;
-        if (deadline_ns != 0 && Timer::now_ns() >= deadline_ns)
-            return false;
-        if (gate.in_use + width <= lane_budget_) {
-            gate.in_use += width;
-            if (tm_ != nullptr)
-                tm_->lanes_in_use->set(gate.in_use);
-            return true;
-        }
-        // Same argument as acquire_lanes: budget holders always finish,
-        // so the wait terminates; PlanHandle::cancel() notifies the
-        // gate, and a node deadline bounds the wait when one is set.
-        if (deadline_ns == 0) {
-            gate.cv.wait(lock);
-        } else {
-            const std::int64_t remaining_ns =
-                deadline_ns - Timer::now_ns();
-            if (remaining_ns > 0)
-                gate.cv.wait_for(lock,
-                                 std::chrono::nanoseconds(remaining_ns));
-        }
-    }
+    tm_->plan_node_execute_ns->record(
+        static_cast<std::uint64_t>(std::max<std::int64_t>(0, exec_ns)));
 }
 
 void
@@ -545,7 +459,7 @@ Server::write_plan_record(detail::PlanState& state)
         std::lock_guard<std::mutex> lock(state.mu);
         const PlanResult& r = state.result;
         line << "{\"kind\":\"serve.plan\",\"trace\":\""
-             << plan_trace_hex(r.trace_id) << "\",\"status\":\""
+             << detail::trace_hex(r.trace_id) << "\",\"status\":\""
              << support::to_string(state.status.code())
              << "\",\"graph\":\"" << support::json_escape(state.req.graph)
              << "\",\"framework\":\""
@@ -561,10 +475,7 @@ Server::write_plan_record(detail::PlanState& state)
              << ",\"generation\":" << r.generation
              << ",\"t_ns\":" << Timer::now_ns() << "}";
     }
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(options_.metrics_path, std::ios::app);
-    if (out)
-        out << line.str() << "\n";
+    append_line(options_.metrics_path, line.str());
 }
 
 void
@@ -605,8 +516,17 @@ Server::PlanHandle::cancel() const
     state_->token->request();
     for (const auto& token : state_->node_tokens)
         token->request();
+    // Wake every node wherever it blocks: waiting for lanes, or joined to
+    // another execution's flight (see Handle::cancel()).
     if (state_->gate != nullptr)
-        state_->gate->cv.notify_all();
+        detail::wake(state_->gate->mu, state_->gate->cv);
+    std::vector<std::shared_ptr<ResultCache::Inflight>> flights;
+    {
+        std::lock_guard<std::mutex> lock(state_->mu);
+        flights = state_->flights;
+    }
+    for (const auto& flight : flights)
+        detail::wake(flight->mu, flight->cv);
 }
 
 } // namespace gm::serve

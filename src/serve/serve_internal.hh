@@ -13,6 +13,7 @@
 #include <cctype>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,14 +46,45 @@ find_framework(const std::vector<harness::Framework>& frameworks,
     return nullptr;
 }
 
+/** The suite dataset named @p name, or null. */
+inline std::shared_ptr<const harness::Dataset>
+find_dataset(const harness::DatasetSuite& suite, const std::string& name)
+{
+    for (const auto& ds : suite.datasets) {
+        if (ds->name == name)
+            return ds;
+    }
+    return nullptr;
+}
+
+/** Trace ids render as fixed-width hex, matching obs::metrics_record_line. */
+inline std::string
+trace_hex(std::uint64_t trace_id)
+{
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(trace_id));
+    return std::string(hex);
+}
+
+/** Wake a waiter blocked on @p cv: taking @p mu first orders whatever
+ *  the caller just stored (a cancel flag, a raised token) before the
+ *  waiter's next check, so the wakeup cannot be lost. */
+inline void
+wake(std::mutex& mu, std::condition_variable& cv)
+{
+    { std::lock_guard<std::mutex> lock(mu); }
+    cv.notify_all();
+}
+
 /**
  * Every registry handle the server's hot paths touch, acquired once at
  * construction so serving a request costs relaxed atomic ops only —
- * never a name lookup.  Null on the Server when enable_telemetry=false.
+ * never a name lookup.
  *
- * Latency histograms are pre-created for the full kernel x priority
- * grid; all series live in telemetry::Registry::global() and are
- * cumulative across servers in the process.
+ * The handles live in the Server's own registry, which is the server's
+ * only counter store: stats_snapshot() reads ServerStats back from them.
+ * Latency histograms are pre-created for the full kernel x priority grid.
  */
 struct ServeTelemetry
 {
@@ -69,6 +101,8 @@ struct ServeTelemetry
     telemetry::Counter* deadline_exceeded = nullptr;
     telemetry::Counter* cancelled = nullptr;
     telemetry::Counter* degraded = nullptr;
+    telemetry::Counter* answered_from_cache = nullptr;
+    telemetry::Counter* single_flight_joins = nullptr;
     telemetry::Counter* executions = nullptr;
     telemetry::Counter* lanes_requested = nullptr;
     telemetry::Counter* lanes_granted = nullptr;
@@ -115,9 +149,8 @@ struct ServeTelemetry
     telemetry::Histogram* plan_node_execute_ns = nullptr;
     telemetry::Histogram* plan_service_ns = nullptr;
 
-    ServeTelemetry()
+    explicit ServeTelemetry(telemetry::Registry& reg)
     {
-        telemetry::Registry& reg = telemetry::Registry::global();
         submitted = &reg.counter("gm_serve_submitted_total");
         for (int p = 0; p < kPriorityClasses; ++p) {
             const std::string cls = to_string(static_cast<Priority>(p));
@@ -140,6 +173,10 @@ struct ServeTelemetry
         cancelled = &reg.counter(telemetry::labeled(
             "gm_serve_completed_total", {{"status", "cancelled"}}));
         degraded = &reg.counter("gm_serve_degraded_total");
+        answered_from_cache =
+            &reg.counter("gm_serve_answered_from_cache_total");
+        single_flight_joins =
+            &reg.counter("gm_serve_single_flight_joins_total");
         executions = &reg.counter("gm_serve_executions_total");
         lanes_requested = &reg.counter("gm_serve_lanes_requested_total");
         lanes_granted = &reg.counter("gm_serve_lanes_granted_total");
@@ -220,8 +257,8 @@ struct ServeTelemetry
 /**
  * Core-budget scheduler state: lanes charged to currently executing
  * leaders, plus the condition variable lane waiters block on.  Waits are
- * event-driven — release_lanes(), Handle::cancel(), and shutdown() all
- * notify cv — so acquire_lanes never has to poll.  Shared-ptr-owned by
+ * event-driven — release_lanes(), both handles' cancel(), and shutdown()
+ * all notify cv — so acquire_lanes never has to poll.  Shared-ptr-owned by
  * the Server and by every RequestState: cancel() wakes waiters through
  * the request's own reference, never through the server, so a Handle
  * outliving the Server stays safe.
@@ -303,6 +340,10 @@ struct PlanState
     bool done = false;
     support::Status status;
     PlanResult result;
+    /** In-flight executions this plan's nodes joined as followers;
+     *  guarded by mu.  Lets cancel() wake those waits (see
+     *  RequestState::flight). */
+    std::vector<std::shared_ptr<ResultCache::Inflight>> flights;
 };
 
 } // namespace gm::serve::detail

@@ -7,8 +7,6 @@
 #include <sstream>
 #include <thread>
 
-#include <cstdio>
-
 #include "gm/dyn/incremental.hh"
 #include "gm/obs/metrics.hh"
 #include "gm/par/thread_pool.hh"
@@ -64,6 +62,7 @@ using detail::RequestState;
 namespace
 {
 
+using detail::find_dataset;
 using detail::find_framework;
 
 bool
@@ -205,21 +204,20 @@ Server::Server(harness::DatasetSuite suite,
       options_(options),
       clock_(options.clock != nullptr ? options.clock
                                       : support::Clock::system()),
+      tm_(std::make_unique<detail::ServeTelemetry>(registry_)),
       cache_(options.cache_capacity_bytes,
-             options.cache_ttl_ms * 1'000'000, clock_),
-      breaker_(options.breaker, clock_),
+             options.cache_ttl_ms * 1'000'000, clock_, registry_),
+      breaker_(options.breaker, clock_, registry_),
       retry_budget_(options.retry_budget_ratio, options.retry_budget_cap),
+      deadlines_(registry_),
       admission_(make_admission_options(options)),
       slo_(options.slo)
 {
     GM_ASSERT(options_.workers >= 1, "server needs at least one worker");
     GM_ASSERT(options_.queue_capacity >= 1,
               "server needs a non-empty admission queue");
-    if (options_.enable_telemetry) {
-        telemetry::Registry::global().enable();
-        tm_ = std::make_unique<detail::ServeTelemetry>();
-        retry_budget_.attach_gauge(tm_->retry_tokens);
-    }
+    registry_.enable();
+    retry_budget_.attach_gauge(tm_->retry_tokens);
     // A random per-server base decorrelates trace ids across servers in
     // one process; the sequence keeps them unique within a server.
     trace_base_ =
@@ -228,10 +226,8 @@ Server::Server(harness::DatasetSuite suite,
             .next();
     if (options_.metrics_port >= 0) {
         listener_ = std::make_unique<telemetry::MetricsListener>(
-            options_.metrics_port, [] {
-                return telemetry::render_text(
-                    telemetry::Registry::global().snapshot());
-            });
+            options_.metrics_port,
+            [this] { return telemetry::render_text(registry_.snapshot()); });
         if (!listener_->status().is_ok()) {
             log_warn("serve: metrics listener failed: " +
                               listener_->status().message());
@@ -296,8 +292,6 @@ Server::shutdown()
     }
     if (listener_ != nullptr)
         listener_->stop();
-    if (options_.enable_telemetry)
-        telemetry::Registry::global().disable();
 }
 
 StatusOr<Server::Handle>
@@ -309,13 +303,8 @@ Server::submit(Request request)
         return Status(StatusCode::kInvalidInput,
                       "unknown framework: " + request.framework);
 
-    std::shared_ptr<const harness::Dataset> ds;
-    for (const auto& candidate : suite_.datasets) {
-        if (candidate->name == request.graph) {
-            ds = candidate;
-            break;
-        }
-    }
+    std::shared_ptr<const harness::Dataset> ds =
+        find_dataset(suite_, request.graph);
     if (ds == nullptr)
         return Status(StatusCode::kInvalidInput,
                       "unknown graph: " + request.graph);
@@ -351,12 +340,7 @@ Server::submit(Request request)
 
     // Completes the request on this thread with a cached answer.
     const auto answered = [&](QueryResult result) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            ++counters_.submitted;
-        }
-        if (tm_ != nullptr)
-            tm_->submitted->inc();
+        tm_->submitted->inc();
         complete(state, Status::ok(), std::move(result));
         return Handle(state);
     };
@@ -370,19 +354,10 @@ Server::submit(Request request)
             write_refusal_record(*state, status, /*served_degraded=*/true);
             return answered(std::move(result));
         }
-        {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            if (status.code() == StatusCode::kUnavailable)
-                ++counters_.unavailable;
-            else
-                ++counters_.shed;
-        }
-        if (tm_ != nullptr) {
-            if (status.code() == StatusCode::kUnavailable)
-                tm_->unavailable->inc();
-            else
-                tm_->shed[priority_class(state->req.priority)]->inc();
-        }
+        if (status.code() == StatusCode::kUnavailable)
+            tm_->unavailable->inc();
+        else
+            tm_->shed[priority_class(state->req.priority)]->inc();
         write_refusal_record(*state, status, /*served_degraded=*/false);
         // A real refusal is an unanswered request from the SLO's point
         // of view; degraded serves are scored in complete().
@@ -442,20 +417,14 @@ Server::submit(Request request)
         decision = admission_.try_admit(std::move(ticket),
                                         state->submit_ns);
         if (decision == AdmissionController::Decision::kAdmitted) {
-            // Counted while still holding queue_mu_: a worker cannot pop
-            // (and decrement queue_depth) until the queue lock is
-            // released, so no snapshot can see the pop before the push.
-            std::lock_guard<std::mutex> stats_lock(stats_mu_);
-            ++counters_.submitted;
-            ++counters_.queue_depth;
+            // Counted while still holding queue_mu_: stats_snapshot()
+            // reads the queue depth under this lock before it reads
+            // submitted, so it never sees the push without the count.
+            const int cls = priority_class(state->req.priority);
+            tm_->submitted->inc();
+            tm_->accepted[cls]->inc();
+            tm_->queue_depth[cls]->add(1);
         }
-    }
-    if (decision == AdmissionController::Decision::kAdmitted &&
-        tm_ != nullptr) {
-        const int cls = priority_class(state->req.priority);
-        tm_->submitted->inc();
-        tm_->accepted[cls]->inc();
-        tm_->queue_depth[cls]->add(1);
     }
     if (decision != AdmissionController::Decision::kAdmitted) {
         breaker_.release(state->cell_key, state->probe);
@@ -476,15 +445,8 @@ Server::submit(Request request)
                      " ms is infeasible at the current queue drain rate";
             break;
         }
-        if (decision ==
-            AdmissionController::Decision::kDeadlineInfeasible) {
-            {
-                std::lock_guard<std::mutex> lock(stats_mu_);
-                ++counters_.infeasible;
-            }
-            if (tm_ != nullptr)
-                tm_->infeasible->inc();
-        }
+        if (decision == AdmissionController::Decision::kDeadlineInfeasible)
+            tm_->infeasible->inc();
         return refuse(Status(StatusCode::kResourceExhausted, reason));
     }
 
@@ -527,21 +489,11 @@ Server::query(const Request& request, const RetryPolicy& policy)
             !retryable_status(status.code()))
             return status;
         if (!retry_budget_.withdraw()) {
-            {
-                std::lock_guard<std::mutex> lock(stats_mu_);
-                ++counters_.retry_denied;
-            }
-            if (tm_ != nullptr)
-                tm_->retry_denied->inc();
+            tm_->retry_denied->inc();
             return status;
         }
         ++attempt;
-        {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            ++counters_.retries;
-        }
-        if (tm_ != nullptr)
-            tm_->retries->inc();
+        tm_->retries->inc();
         const std::int64_t ms = backoff_ms(policy, attempt);
         if (ms > 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(ms));
@@ -551,13 +503,7 @@ Server::query(const Request& request, const RetryPolicy& policy)
 StatusOr<MutationOutcome>
 Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
 {
-    std::shared_ptr<const harness::Dataset> ds;
-    for (const auto& candidate : suite_.datasets) {
-        if (candidate->name == graph) {
-            ds = candidate;
-            break;
-        }
-    }
+    std::shared_ptr<const harness::Dataset> ds = find_dataset(suite_, graph);
     if (ds == nullptr)
         return Status(StatusCode::kInvalidInput,
                       "unknown graph: " + graph);
@@ -635,37 +581,22 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
                       static_cast<std::uint64_t>(outcome.pr_incremental)
                 : 0;
     const std::uint64_t full = changed ? 2 - incremental : 0;
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.mutations;
-        counters_.mutation_inserted_arcs +=
-            static_cast<std::uint64_t>(outcome.inserted_arcs);
-        counters_.mutation_deleted_arcs +=
-            static_cast<std::uint64_t>(outcome.deleted_arcs);
-        if (outcome.compacted)
-            ++counters_.compactions;
-        counters_.dyn_incremental += incremental;
-        counters_.dyn_full += full;
-    }
-    if (tm_ != nullptr) {
-        tm_->dyn_batches->inc();
-        tm_->dyn_batch_edges->record(
-            static_cast<std::uint64_t>(outcome.requested));
-        tm_->dyn_inserted_arcs->inc(
-            static_cast<std::uint64_t>(outcome.inserted_arcs));
-        tm_->dyn_deleted_arcs->inc(
-            static_cast<std::uint64_t>(outcome.deleted_arcs));
-        if (outcome.compacted)
-            tm_->dyn_compactions->inc();
-        tm_->dyn_incremental->inc(incremental);
-        tm_->dyn_full->inc(full);
-        tm_->dyn_generation->set(
-            static_cast<double>(generation_peak));
-        tm_->dyn_dirty_fraction->set(outcome.dirty_fraction);
-        tm_->dyn_overlay_bytes->set(overlay_bytes);
-        tm_->dyn_mutate_ns->record(static_cast<std::uint64_t>(
-            std::max<std::int64_t>(0, Timer::now_ns() - begin_ns)));
-    }
+    tm_->dyn_batches->inc();
+    tm_->dyn_batch_edges->record(
+        static_cast<std::uint64_t>(outcome.requested));
+    tm_->dyn_inserted_arcs->inc(
+        static_cast<std::uint64_t>(outcome.inserted_arcs));
+    tm_->dyn_deleted_arcs->inc(
+        static_cast<std::uint64_t>(outcome.deleted_arcs));
+    if (outcome.compacted)
+        tm_->dyn_compactions->inc();
+    tm_->dyn_incremental->inc(incremental);
+    tm_->dyn_full->inc(full);
+    tm_->dyn_generation->set(static_cast<double>(generation_peak));
+    tm_->dyn_dirty_fraction->set(outcome.dirty_fraction);
+    tm_->dyn_overlay_bytes->set(overlay_bytes);
+    tm_->dyn_mutate_ns->record(static_cast<std::uint64_t>(
+        std::max<std::int64_t>(0, Timer::now_ns() - begin_ns)));
     write_mutation_record(graph, outcome);
     return outcome;
 }
@@ -684,12 +615,7 @@ Server::worker_loop()
             state = std::static_pointer_cast<RequestState>(
                 admission_.pop());
         }
-        {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            --counters_.queue_depth;
-        }
-        if (tm_ != nullptr)
-            tm_->queue_depth[priority_class(state->req.priority)]->add(-1);
+        tm_->queue_depth[priority_class(state->req.priority)]->add(-1);
         process(state);
     }
 }
@@ -739,10 +665,8 @@ Server::process(const std::shared_ptr<RequestState>& state)
     QueryResult result;
     result.queue_seconds =
         static_cast<double>(dequeue_ns - state->submit_ns) * 1e-9;
-    if (tm_ != nullptr)
-        tm_->queue_wait_ns->record(
-            static_cast<std::uint64_t>(
-                std::max<std::int64_t>(0, dequeue_ns - state->submit_ns)));
+    tm_->queue_wait_ns->record(static_cast<std::uint64_t>(
+        std::max<std::int64_t>(0, dequeue_ns - state->submit_ns)));
 
     // Expired or cancelled while still queued: answer without executing.
     if (state->user_cancelled.load(std::memory_order_relaxed) ||
@@ -774,10 +698,7 @@ Server::process(const std::shared_ptr<RequestState>& state)
               record_cell_outcome(*state, status, /*executed=*/false);
               break;
           case ResultCache::Role::kFollower: {
-              {
-                  std::lock_guard<std::mutex> lock(stats_mu_);
-                  ++counters_.single_flight_joins;
-              }
+              tm_->single_flight_joins->inc();
               const std::int64_t join_begin = Timer::now_ns();
               status = wait_for_leader(*state, lookup.flight, result);
               obs::record_span("serve.join_wait", join_begin,
@@ -791,10 +712,12 @@ Server::process(const std::shared_ptr<RequestState>& state)
               // and followers never touch the budget, so they are served
               // even when every lane is busy.
               const int width = state->req.width;
-              if (tm_ != nullptr)
-                  tm_->lanes_requested->inc(
-                      static_cast<std::uint64_t>(width));
-              if (!acquire_lanes(*state, width)) {
+              tm_->lanes_requested->inc(static_cast<std::uint64_t>(width));
+              const auto cancelled = [&state] {
+                  return state->user_cancelled.load(
+                      std::memory_order_relaxed);
+              };
+              if (!acquire_lanes(cancelled, state->deadline_ns, width)) {
                   status = classify_cancel(*state);
                   record_cell_outcome(*state, status, /*executed=*/false);
                   // Wake followers: their leader never ran ("abandoned"
@@ -808,12 +731,7 @@ Server::process(const std::shared_ptr<RequestState>& state)
               const std::uint64_t exec_generation =
                   state->ds->store()->generation();
               executed = true;
-              {
-                  std::lock_guard<std::mutex> lock(stats_mu_);
-                  ++counters_.executions;
-              }
-              if (tm_ != nullptr)
-                  tm_->executions->inc();
+              tm_->executions->inc();
               const std::int64_t exec_begin = Timer::now_ns();
               std::shared_ptr<const ResultValue> value;
               std::uint64_t fingerprint = 0;
@@ -853,19 +771,10 @@ Server::process(const std::shared_ptr<RequestState>& state)
               const std::int64_t exec_ns = Timer::now_ns() - exec_begin;
               result.execute_seconds =
                   static_cast<double>(exec_ns) * 1e-9;
-              {
-                  std::lock_guard<std::mutex> lock(stats_mu_);
-                  counters_.lanes_granted +=
-                      static_cast<std::uint64_t>(
-                          std::max(0, result.lanes));
-              }
-              if (tm_ != nullptr) {
-                  tm_->lanes_granted->inc(static_cast<std::uint64_t>(
-                      std::max(0, result.lanes)));
-                  tm_->execute_ns->record(
-                      static_cast<std::uint64_t>(std::max<std::int64_t>(
-                          0, exec_ns)));
-              }
+              tm_->lanes_granted->inc(
+                  static_cast<std::uint64_t>(std::max(0, result.lanes)));
+              tm_->execute_ns->record(static_cast<std::uint64_t>(
+                  std::max<std::int64_t>(0, exec_ns)));
               {
                   // Feed the admission drain estimate: what one queue
                   // slot actually cost, success or not.
@@ -887,10 +796,8 @@ Server::process(const std::shared_ptr<RequestState>& state)
             std::min(1.0, summary.busy_seconds /
                               (result.execute_seconds *
                                static_cast<double>(result.lanes)));
-        if (tm_ != nullptr)
-            tm_->parallel_efficiency_millionths->record(
-                static_cast<std::uint64_t>(result.parallel_efficiency *
-                                           1e6));
+        tm_->parallel_efficiency_millionths->record(
+            static_cast<std::uint64_t>(result.parallel_efficiency * 1e6));
     }
     if (!options_.metrics_path.empty())
         write_metrics_record(*state, session);
@@ -899,32 +806,31 @@ Server::process(const std::shared_ptr<RequestState>& state)
 }
 
 bool
-Server::acquire_lanes(const RequestState& state, int width)
+Server::acquire_lanes(const std::function<bool()>& stopped,
+                      std::int64_t deadline_ns, int width)
 {
     detail::LaneGate& gate = *lane_gate_;
     std::unique_lock<std::mutex> lock(gate.mu);
     for (;;) {
-        if (state.user_cancelled.load(std::memory_order_relaxed))
+        if (stopped())
             return false;
-        if (state.deadline_ns != 0 && Timer::now_ns() >= state.deadline_ns)
+        if (deadline_ns != 0 && Timer::now_ns() >= deadline_ns)
             return false;
         if (gate.in_use + width <= lane_budget_) {
             gate.in_use += width;
-            if (tm_ != nullptr)
-                tm_->lanes_in_use->set(gate.in_use);
+            tm_->lanes_in_use->set(gate.in_use);
             return true;
         }
         // Budget holders are executing leaders, which always finish, so
         // this wait cannot deadlock — including during shutdown's queue
-        // drain.  Wakeups are event-driven (release_lanes, cancel(), and
-        // shutdown() all notify); the only timed bound needed is the
-        // request's own deadline, so expiry is reported the moment it
+        // drain.  Wakeups are event-driven (release_lanes, the handles'
+        // cancel(), and shutdown() all notify); the only timed bound
+        // needed is the deadline, so expiry is reported the moment it
         // passes instead of on the next poll tick.
-        if (state.deadline_ns == 0) {
+        if (deadline_ns == 0) {
             gate.cv.wait(lock);
         } else {
-            const std::int64_t remaining_ns =
-                state.deadline_ns - Timer::now_ns();
+            const std::int64_t remaining_ns = deadline_ns - Timer::now_ns();
             if (remaining_ns > 0)
                 gate.cv.wait_for(lock,
                                  std::chrono::nanoseconds(remaining_ns));
@@ -939,8 +845,7 @@ Server::release_lanes(int width)
     {
         std::lock_guard<std::mutex> lock(gate.mu);
         gate.in_use -= width;
-        if (tm_ != nullptr)
-            tm_->lanes_in_use->set(gate.in_use);
+        tm_->lanes_in_use->set(gate.in_use);
     }
     gate.cv.notify_all();
 }
@@ -956,8 +861,7 @@ Server::acquire_all_lanes()
     std::unique_lock<std::mutex> lock(gate.mu);
     gate.cv.wait(lock, [&gate] { return gate.in_use == 0; });
     gate.in_use = lane_budget_;
-    if (tm_ != nullptr)
-        tm_->lanes_in_use->set(gate.in_use);
+    tm_->lanes_in_use->set(gate.in_use);
 }
 
 Status
@@ -969,44 +873,19 @@ Server::wait_for_leader(RequestState& state,
         std::lock_guard<std::mutex> lock(state.mu);
         state.flight = flight;
     }
-    std::unique_lock<std::mutex> lock(flight->mu);
-    while (!flight->done) {
-        if (state.user_cancelled.load(std::memory_order_relaxed))
-            return Status(StatusCode::kCancelled, "cancelled by caller");
-        if (state.deadline_ns != 0 && Timer::now_ns() >= state.deadline_ns)
-            return Status(StatusCode::kDeadlineExceeded,
-                          "deadline of " +
-                              std::to_string(state.req.deadline_ms) +
-                              " ms exceeded while joined to an "
-                              "in-flight execution");
-        // Event-driven like acquire_lanes: publish() and cancel() notify,
-        // and the request's own deadline is the only timed bound.
-        if (state.deadline_ns == 0)
-            flight->cv.wait(lock);
-        else
-            flight->cv.wait_for(lock,
-                                std::chrono::nanoseconds(state.deadline_ns -
-                                                         Timer::now_ns()));
-    }
-    if (flight->status.is_ok()) {
+    const auto cancelled = [&state] {
+        return state.user_cancelled.load(std::memory_order_relaxed);
+    };
+    if (!flight->wait(cancelled, state.deadline_ns))
+        return classify_cancel(state);
+    const Status status = flight->follower_status();
+    if (status.is_ok()) {
         result.value = flight->value;
         result.fingerprint = flight->fingerprint;
         result.generation = flight->generation;
         result.shared_execution = true;
-        return Status::ok();
     }
-    switch (flight->status.code()) {
-      case StatusCode::kTimeout:
-      case StatusCode::kDeadlineExceeded:
-      case StatusCode::kCancelled:
-        // The leader was abandoned for reasons unrelated to the query
-        // itself; this follower's answer was never computed.
-        return Status(StatusCode::kCancelled,
-                      "single-flight leader abandoned; safe to retry");
-      default:
-        // Deterministic failure: retrying the same query would repeat it.
-        return flight->status;
-    }
+    return status;
 }
 
 bool
@@ -1032,8 +911,7 @@ Server::answer_from_cache(const ResultCache::Cached& entry, bool fresh,
     if (!fresh)
         return;
     obs::counter_add("serve.cache_hit", 1);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.cache_hits;
+    tm_->answered_from_cache->inc();
 }
 
 QueryResult
@@ -1076,35 +954,15 @@ Server::complete(const std::shared_ptr<RequestState>& state, Status status,
     const std::int64_t done_ns = Timer::now_ns();
     const std::int64_t latency_ns =
         std::max<std::int64_t>(0, done_ns - state->submit_ns);
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.completed;
-        switch (status.code()) {
-          case StatusCode::kOk:
-            ++counters_.succeeded;
-            if (result.degraded)
-                ++counters_.degraded;
-            break;
-          case StatusCode::kDeadlineExceeded:
-            ++counters_.deadline_exceeded;
-            break;
-          case StatusCode::kCancelled:
-            ++counters_.cancelled;
-            break;
-          default:
-            ++counters_.failed;
-            break;
-        }
-    }
-    if (tm_ != nullptr) {
-        tm_->completed_for(status.code()).inc();
-        if (status.is_ok() && result.degraded)
-            tm_->degraded->inc();
-        const int kernel = static_cast<int>(state->req.kernel);
-        if (kernel >= 0 && kernel < detail::ServeTelemetry::kKernels)
-            tm_->latency_ns[kernel][priority_class(state->req.priority)]
-                ->record(static_cast<std::uint64_t>(latency_ns));
-    }
+    // Outcome before its subset: stats_snapshot() reads degraded before
+    // succeeded, so degraded <= succeeded holds in any snapshot.
+    tm_->completed_for(status.code()).inc();
+    if (status.is_ok() && result.degraded)
+        tm_->degraded->inc();
+    const int kernel = static_cast<int>(state->req.kernel);
+    if (kernel >= 0 && kernel < detail::ServeTelemetry::kKernels)
+        tm_->latency_ns[kernel][priority_class(state->req.priority)]->record(
+            static_cast<std::uint64_t>(latency_ns));
     observe_slo(status.is_ok(), status.is_ok() && !result.degraded,
                 latency_ns);
     result.trace_id = state->req.trace_id;
@@ -1132,12 +990,7 @@ Server::write_metrics_record(const RequestState& state,
     record.trace_id = state.req.trace_id;
     record.metrics = obs::summarize(session);
     record.metrics.peak_bytes = state.ds->bytes_resident();
-    const std::string line = obs::metrics_record_line(record);
-
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(options_.metrics_path, std::ios::app);
-    if (out)
-        out << line << "\n";
+    append_line(options_.metrics_path, obs::metrics_record_line(record));
 }
 
 void
@@ -1148,59 +1001,66 @@ Server::flush_breaker_transitions()
         breaker_.drain_transitions();
     if (transitions.empty() || options_.metrics_path.empty())
         return;
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(options_.metrics_path, std::ios::app);
-    if (!out)
-        return;
+    std::ostringstream lines;
+    const char* separator = "";
     for (const CircuitBreaker::Transition& t : transitions) {
-        out << "{\"kind\":\"serve.breaker\",\"cell\":\""
-            << support::json_escape(t.cell) << "\",\"from\":\""
-            << CircuitBreaker::to_string(t.from) << "\",\"to\":\""
-            << CircuitBreaker::to_string(t.to) << "\",\"seq\":" << t.seq
-            << "}\n";
+        lines << separator << "{\"kind\":\"serve.breaker\",\"cell\":\""
+              << support::json_escape(t.cell) << "\",\"from\":\""
+              << CircuitBreaker::to_string(t.from) << "\",\"to\":\""
+              << CircuitBreaker::to_string(t.to) << "\",\"seq\":" << t.seq
+              << "}";
+        separator = "\n";
     }
+    append_line(options_.metrics_path, lines.str());
 }
 
 ServerStats
 Server::stats_snapshot() const
 {
+    // Effects before causes, with no lock: a request bumps submitted
+    // before its outcome and succeeded before degraded, and counters
+    // publish with release / read with acquire, so reading degraded, then
+    // the outcomes, then the queue, then submitted keeps every
+    // ServerStats invariant in any snapshot.
+    const detail::ServeTelemetry& t = *tm_;
     ServerStats out;
+    out.degraded = t.degraded->value();
+    out.succeeded = t.succeeded->value();
+    out.deadline_exceeded = t.deadline_exceeded->value();
+    out.cancelled = t.cancelled->value();
+    out.failed = t.failed->value();
+    out.completed = out.succeeded + out.deadline_exceeded + out.cancelled +
+                    out.failed;
     {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        const Counters& c = counters_;
-        out.submitted = c.submitted;
-        out.shed = c.shed;
-        out.infeasible = c.infeasible;
-        out.unavailable = c.unavailable;
-        out.completed = c.completed;
-        out.succeeded = c.succeeded;
-        out.degraded = c.degraded;
-        out.deadline_exceeded = c.deadline_exceeded;
-        out.cancelled = c.cancelled;
-        out.failed = c.failed;
-        out.executions = c.executions;
-        out.lanes_granted = c.lanes_granted;
-        out.cache_hits = c.cache_hits;
-        out.single_flight_joins = c.single_flight_joins;
-        out.retries = c.retries;
-        out.retry_denied = c.retry_denied;
-        out.mutations = c.mutations;
-        out.mutation_inserted_arcs = c.mutation_inserted_arcs;
-        out.mutation_deleted_arcs = c.mutation_deleted_arcs;
-        out.compactions = c.compactions;
-        out.dyn_incremental = c.dyn_incremental;
-        out.dyn_full = c.dyn_full;
-        out.plans_submitted = c.plans_submitted;
-        out.plans_completed = c.plans_completed;
-        out.plans_failed = c.plans_failed;
-        out.plan_nodes = c.plan_nodes;
-        out.plan_nodes_executed = c.plan_nodes_executed;
-        out.plan_node_cache_hits = c.plan_node_cache_hits;
-        out.plan_nodes_shared = c.plan_nodes_shared;
-        out.plan_fused_sweeps = c.plan_fused_sweeps;
-        out.plan_sources_fused = c.plan_sources_fused;
-        out.queue_depth = c.queue_depth;
+        std::lock_guard<std::mutex> lock(queue_mu_);
+        out.queue_depth = admission_.depth();
     }
+    out.submitted = t.submitted->value();
+    for (const telemetry::Counter* shed : t.shed)
+        out.shed += shed->value();
+    out.infeasible = t.infeasible->value();
+    out.unavailable = t.unavailable->value();
+    out.executions = t.executions->value();
+    out.lanes_granted = t.lanes_granted->value();
+    out.cache_hits = t.answered_from_cache->value();
+    out.single_flight_joins = t.single_flight_joins->value();
+    out.retries = t.retries->value();
+    out.retry_denied = t.retry_denied->value();
+    out.mutations = t.dyn_batches->value();
+    out.mutation_inserted_arcs = t.dyn_inserted_arcs->value();
+    out.mutation_deleted_arcs = t.dyn_deleted_arcs->value();
+    out.compactions = t.dyn_compactions->value();
+    out.dyn_incremental = t.dyn_incremental->value();
+    out.dyn_full = t.dyn_full->value();
+    out.plans_completed = t.plans_completed->value();
+    out.plans_failed = t.plans_failed->value();
+    out.plan_nodes_executed = t.plan_nodes_executed->value();
+    out.plan_node_cache_hits = t.plan_node_cache_hits->value();
+    out.plan_nodes_shared = t.plan_nodes_shared->value();
+    out.plan_fused_sweeps = t.plan_fused_sweeps->value();
+    out.plan_sources_fused = t.plan_sources_fused->value();
+    out.plans_submitted = t.plans_submitted->value();
+    out.plan_nodes = t.plan_nodes->value();
     out.breaker_transitions = breaker_.transition_count();
     out.breaker_open_cells = breaker_.open_cells();
     const ResultCache::Stats cache = cache_.stats();
@@ -1231,20 +1091,14 @@ Server::mint_trace_id()
     return id == 0 ? 1 : id; // 0 means "mint for me"
 }
 
-namespace
+void
+Server::append_line(const std::string& path, const std::string& line)
 {
-
-/** Trace ids render as fixed-width hex, matching obs::metrics_record_line. */
-std::string
-trace_hex(std::uint64_t trace_id)
-{
-    char hex[17];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(trace_id));
-    return std::string(hex);
+    std::lock_guard<std::mutex> lock(metrics_mu_);
+    std::ofstream out(path, std::ios::app);
+    if (out)
+        out << line << "\n";
 }
-
-} // namespace
 
 void
 Server::write_refusal_record(const RequestState& state,
@@ -1254,16 +1108,13 @@ Server::write_refusal_record(const RequestState& state,
         return;
     std::ostringstream line;
     line << "{\"kind\":\"serve.refusal\",\"trace\":\""
-         << trace_hex(state.req.trace_id)
+         << detail::trace_hex(state.req.trace_id)
          << "\",\"attempt\":" << state.req.attempt << ",\"code\":\""
          << support::to_string(status.code()) << "\",\"cell\":\""
          << support::json_escape(state.cell_key)
          << "\",\"degraded\":" << (served_degraded ? 1 : 0)
          << ",\"t_ns\":" << Timer::now_ns() << "}";
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(options_.metrics_path, std::ios::app);
-    if (out)
-        out << line.str() << "\n";
+    append_line(options_.metrics_path, line.str());
 }
 
 void
@@ -1291,10 +1142,7 @@ Server::write_mutation_record(const std::string& graph,
          << ",\"generation\":" << outcome.generation << ",\"mutate_ms\":"
          << support::json_double(outcome.mutate_seconds * 1e3)
          << ",\"t_ns\":" << Timer::now_ns() << "}";
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(options_.metrics_path, std::ios::app);
-    if (out)
-        out << line.str() << "\n";
+    append_line(options_.metrics_path, line.str());
 }
 
 void
@@ -1321,19 +1169,15 @@ telemetry::SloEvaluation
 Server::evaluate_slo(std::int64_t now_ns)
 {
     const telemetry::SloEvaluation ev = slo_.evaluate(now_ns);
-    if (tm_ != nullptr) {
-        tm_->slo_availability_short->set(ev.availability_short);
-        tm_->slo_availability_long->set(ev.availability_long);
-        tm_->slo_fresh_availability_short->set(
-            ev.fresh_availability_short);
-        tm_->slo_fresh_availability_long->set(ev.fresh_availability_long);
-        tm_->slo_burn_short->set(ev.burn_short);
-        tm_->slo_burn_long->set(ev.burn_long);
-        tm_->slo_firing->set(ev.firing ? 1.0 : 0.0);
-        tm_->slo_p99_short_ns->set(
-            static_cast<double>(ev.p99_short_ns));
-        tm_->slo_availability_lifetime->set(ev.availability_lifetime);
-    }
+    tm_->slo_availability_short->set(ev.availability_short);
+    tm_->slo_availability_long->set(ev.availability_long);
+    tm_->slo_fresh_availability_short->set(ev.fresh_availability_short);
+    tm_->slo_fresh_availability_long->set(ev.fresh_availability_long);
+    tm_->slo_burn_short->set(ev.burn_short);
+    tm_->slo_burn_long->set(ev.burn_long);
+    tm_->slo_firing->set(ev.firing ? 1.0 : 0.0);
+    tm_->slo_p99_short_ns->set(static_cast<double>(ev.p99_short_ns));
+    tm_->slo_availability_lifetime->set(ev.availability_lifetime);
     if (ev.changed)
         write_slo_burn_record(ev);
     return ev;
@@ -1362,10 +1206,7 @@ Server::write_slo_burn_record(const telemetry::SloEvaluation& ev)
          << ",\"p99_short_ns\":" << ev.p99_short_ns
          << ",\"short_total\":" << ev.short_total
          << ",\"long_total\":" << ev.long_total << "}";
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(path, std::ios::app);
-    if (out)
-        out << line.str() << "\n";
+    append_line(path, line.str());
 }
 
 void
@@ -1373,8 +1214,7 @@ Server::write_telemetry_snapshot()
 {
     if (options_.telemetry_path.empty())
         return;
-    const telemetry::Snapshot snap =
-        telemetry::Registry::global().snapshot();
+    const telemetry::Snapshot snap = registry_.snapshot();
     std::ostringstream line;
     line << "{\"kind\":\"serve.telemetry\",\"seq\":" << telemetry_seq_++
          << ",\"t_ns\":" << Timer::now_ns() << ",\"counters\":{";
@@ -1409,10 +1249,7 @@ Server::write_telemetry_snapshot()
         first = false;
     }
     line << "}}";
-    std::lock_guard<std::mutex> lock(metrics_mu_);
-    std::ofstream out(options_.telemetry_path, std::ios::app);
-    if (out)
-        out << line.str() << "\n";
+    append_line(options_.telemetry_path, line.str());
 }
 
 void
@@ -1469,24 +1306,18 @@ Server::Handle::cancel() const
     state_->user_cancelled.store(true, std::memory_order_relaxed);
     state_->token->request();
     // Wake the request wherever it blocks: a leader waiting for lanes or
-    // a follower joined to another request's flight.  Taking each
-    // waiter's mutex before notifying orders the flag store before its
-    // next check, so the wakeup cannot be lost.  Gate and flight are
-    // shared-ptr-owned by the state, so this is safe even after the
+    // a follower joined to another request's flight.  Gate and flight
+    // are shared-ptr-owned by the state, so this is safe even after the
     // server has been destroyed.
-    const auto wake = [](std::mutex& mu, std::condition_variable& cv) {
-        { std::lock_guard<std::mutex> lock(mu); }
-        cv.notify_all();
-    };
     if (state_->gate != nullptr)
-        wake(state_->gate->mu, state_->gate->cv);
+        detail::wake(state_->gate->mu, state_->gate->cv);
     std::shared_ptr<ResultCache::Inflight> flight;
     {
         std::lock_guard<std::mutex> lock(state_->mu);
         flight = state_->flight;
     }
     if (flight != nullptr)
-        wake(flight->mu, flight->cv);
+        detail::wake(flight->mu, flight->cv);
 }
 
 } // namespace gm::serve

@@ -1,6 +1,6 @@
 /**
  * @file
- * Process-wide metric registry: named counters, gauges, and fixed-bucket
+ * Metric registry: named counters, gauges, and fixed-bucket
  * log-scale latency histograms for the live serving stack.
  *
  * Design mirrors gm::obs's tracing discipline, adapted for metrics that
@@ -16,8 +16,8 @@
  *    (the detcheck contract extended to telemetry).
  *  - The whole registry has a master enable switch.  Disabled, every
  *    probe is one relaxed atomic load and a branch (~1 ns), matching the
- *    bench/telemetry_overhead budget; gm::serve enables the registry for
- *    the lifetime of a Server.
+ *    bench/telemetry_overhead budget; each gm::serve::Server owns a
+ *    registry and enables it for its lifetime.
  *
  * Series names are Prometheus-style and may carry embedded labels, e.g.
  * `gm_serve_latency_ns{kernel="BFS",priority="interactive"}`.  The
@@ -57,7 +57,14 @@ int shard_index();
 
 } // namespace detail
 
-/** Monotonic counter; inc() is lock-free and thread-sharded. */
+/**
+ * Monotonic counter; inc() is lock-free and thread-sharded.  inc()
+ * publishes with release and value() reads with acquire, so a reader that
+ * sees an increment also sees every counter the writer bumped before it:
+ * reading effects before causes yields a coherent multi-counter view
+ * (gm::serve::Server::stats_snapshot() relies on this).  On x86 both are
+ * the same instructions as relaxed.
+ */
 class Counter
 {
   public:
@@ -67,10 +74,10 @@ class Counter
         if (!enabled_->load(std::memory_order_relaxed))
             return;
         shards_[detail::shard_index()].v.fetch_add(delta,
-                                                   std::memory_order_relaxed);
+                                                   std::memory_order_release);
     }
 
-    /** Sum over shards (scrape path; relaxed reads). */
+    /** Sum over shards (scrape path; acquire reads). */
     std::uint64_t value() const;
 
   private:
@@ -218,8 +225,8 @@ struct Snapshot
 
 /**
  * Named-metric registry.  Handle acquisition locks; probes do not.
- * enable()/disable() nest (refcounted) so overlapping servers sharing
- * the global registry cannot turn each other's telemetry off.
+ * enable()/disable() nest (refcounted) so overlapping users of one
+ * registry cannot turn each other's telemetry off.
  */
 class Registry
 {
@@ -228,7 +235,8 @@ class Registry
     Registry(const Registry&) = delete;
     Registry& operator=(const Registry&) = delete;
 
-    /** The process-wide registry gm::serve instruments against. */
+    /** The process-wide registry: the default for components built
+     *  outside a Server (a Server instruments against its own). */
     static Registry& global();
 
     /** Find-or-create; the reference stays valid until the Registry dies. */

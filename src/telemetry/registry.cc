@@ -27,7 +27,7 @@ Counter::value() const
 {
     std::uint64_t total = 0;
     for (const auto& s : shards_)
-        total += s.v.load(std::memory_order_relaxed);
+        total += s.v.load(std::memory_order_acquire);
     return total;
 }
 

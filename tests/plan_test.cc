@@ -490,6 +490,76 @@ TEST(PlanServeTest, CancelStopsThePlan)
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
 
+TEST(PlanServeTest, CancelWakesANodeWaitingForLanes)
+{
+    // A delayed query leader holds the only lane, so the plan's node
+    // blocks in the lane wait; cancel() must wake it, not the release.
+    ScopedFaults faults("serve.execute:1x:4:delay=400");
+    Server server(suite(), frameworks(),
+                  ServerOptions{.workers = 1, .lane_budget = 1});
+    Request query;
+    query.kernel = Kernel::kBFS;
+    query.graph = "Kron";
+    query.source = 3;
+    auto leader = server.submit(query);
+    ASSERT_TRUE(leader.is_ok());
+    for (int i = 0; i < 500 && server.stats_snapshot().executions == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_EQ(server.stats_snapshot().executions, 1u);
+
+    plan::Plan p;
+    p.add_kernel(Kernel::kBFS, 5);
+    PlanRequest req;
+    req.graph = "Kron";
+    req.plan = p;
+    auto handle = server.submit_plan(req);
+    ASSERT_TRUE(handle.is_ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    const auto begin = std::chrono::steady_clock::now();
+    handle.value().cancel();
+    auto result = handle.value().wait();
+    const auto waited = std::chrono::steady_clock::now() - begin;
+    ASSERT_FALSE(result.is_ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+    EXPECT_LT(waited, std::chrono::milliseconds(50));
+    EXPECT_TRUE(leader.value().wait().is_ok());
+    EXPECT_EQ(server.stats_snapshot().plan_nodes_executed, 0u);
+}
+
+TEST(PlanServeTest, CancelWakesANodeJoinedToAnotherPlansFlight)
+{
+    // The first plan's node leads (and sleeps in the delay fault); the
+    // second plan's identical node joins that flight.  Cancelling the
+    // second plan must wake its follower wait at once.
+    ScopedFaults faults("serve.plan.node:1x:5:delay=400");
+    Server server(suite(), frameworks(), ServerOptions{.workers = 1});
+    plan::Plan p;
+    p.add_kernel(Kernel::kBFS, 4);
+    PlanRequest req;
+    req.graph = "Kron";
+    req.plan = p;
+    auto first = server.submit_plan(req);
+    ASSERT_TRUE(first.is_ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    auto second = server.submit_plan(req);
+    ASSERT_TRUE(second.is_ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    const auto begin = std::chrono::steady_clock::now();
+    second.value().cancel();
+    auto cancelled = second.value().wait();
+    const auto waited = std::chrono::steady_clock::now() - begin;
+    ASSERT_FALSE(cancelled.is_ok());
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+    EXPECT_LT(waited, std::chrono::milliseconds(50));
+
+    auto led = first.value().wait();
+    ASSERT_TRUE(led.is_ok()) << led.status().to_string();
+    // Only the first plan executed: the second really was a follower.
+    EXPECT_EQ(server.stats_snapshot().plan_nodes_executed, 1u);
+}
+
 TEST(PlanServeTest, InjectedFaultFailsTheNodeDeterministically)
 {
     ScopedFaults faults("serve.plan.node:1x:3");

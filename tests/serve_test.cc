@@ -1,8 +1,8 @@
 /**
  * Tests for gm::serve: the result cache (LRU + single-flight), the
  * concurrent query server (admission control, deadlines, cancellation,
- * cache interaction), and bit-identical agreement with direct framework
- * execution.
+ * cache interaction), bit-identical agreement with direct framework
+ * execution, and the per-server telemetry ledger behind stats_snapshot().
  */
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "gm/serve/server.hh"
 #include "gm/support/clock.hh"
 #include "gm/support/fault_injector.hh"
+#include "gm/telemetry/exposition.hh"
 
 namespace gm::serve
 {
@@ -1107,6 +1109,185 @@ TEST(ServeDynTest, WritesMutationRecords)
     }
     EXPECT_EQ(mutation_records, 1);
     std::remove(path.c_str());
+}
+
+// --------------------------------------------------------------- ledger
+
+/** The server's own /metrics document, parsed into name -> value. */
+std::map<std::string, double>
+scrape(const Server& server)
+{
+    const auto text = telemetry::scrape_text("127.0.0.1",
+                                             server.metrics_port());
+    EXPECT_TRUE(text.is_ok()) << text.status().to_string();
+    if (!text.is_ok())
+        return {};
+    const auto doc = telemetry::parse_exposition(text.value());
+    EXPECT_TRUE(doc.is_ok()) << doc.status().to_string();
+    return doc.is_ok() ? doc.value().by_name()
+                       : std::map<std::string, double>{};
+}
+
+/** Sum of every series of @p family (labeled or not) in @p series. */
+std::uint64_t
+family_sum(const std::map<std::string, double>& series,
+           const std::string& family)
+{
+    double total = 0;
+    for (const auto& [name, value] : series) {
+        if (name == family || name.rfind(family + "{", 0) == 0)
+            total += value;
+    }
+    return static_cast<std::uint64_t>(total);
+}
+
+TEST(ServeLedgerTest, StatsEqualTheServersOwnScrape)
+{
+    ServerOptions options;
+    options.workers = 2;
+    options.queue_capacity = 1;
+    options.metrics_port = 0;
+    options.breaker.failure_threshold = 1;
+    options.breaker.cooldown_ns = 60'000'000'000; // stays open
+    Server server(mutable_suite(), frameworks(), options);
+    ASSERT_GE(server.metrics_port(), 0);
+    const auto bfs = [](vid_t source) { return bfs_on("Mut", source); };
+    Request pr;
+    pr.kernel = Kernel::kPR;
+    pr.graph = "Mut";
+
+    // A miss, then a fresh hit; PR cached for the degraded answer below.
+    ASSERT_TRUE(server.query(bfs(1)).is_ok());
+    ASSERT_TRUE(server.query(bfs(1)).is_ok());
+    ASSERT_TRUE(server.query(pr).is_ok());
+    {
+        // A join and a queue-full shed: one worker runs a delayed
+        // leader, the other waits as its follower, one request takes
+        // the only queue slot, and the next sheds.
+        ScopedFaults faults("serve.execute:1x:31:delay=300");
+        auto leader = server.submit(bfs(2));
+        ASSERT_TRUE(leader.is_ok());
+        ASSERT_TRUE(eventually(
+            [&] { return server.stats_snapshot().executions == 3; }));
+        auto follower = server.submit(bfs(2));
+        ASSERT_TRUE(follower.is_ok());
+        ASSERT_TRUE(eventually([&] {
+            return server.stats_snapshot().single_flight_joins == 1;
+        }));
+        auto queued = server.submit(bfs(3));
+        ASSERT_TRUE(queued.is_ok());
+        EXPECT_EQ(server.submit(bfs(4)).status().code(),
+                  StatusCode::kResourceExhausted);
+        EXPECT_TRUE(leader->wait().is_ok());
+        EXPECT_TRUE(follower->wait().is_ok());
+        EXPECT_TRUE(queued->wait().is_ok());
+    }
+    // One mutation: the PR entry goes stale.
+    dyn::MutationBatch batch;
+    batch.insert(5, 77);
+    ASSERT_TRUE(server.mutate("Mut", batch).is_ok());
+    {
+        // A failed PR execution opens its cell's breaker.
+        ScopedFaults faults("serve.execute:1x:32");
+        auto failing = server.submit(pr);
+        ASSERT_TRUE(failing.is_ok());
+        EXPECT_FALSE(failing->wait().is_ok());
+    }
+    // The open breaker rejects, or serves the stale entry as degraded.
+    EXPECT_EQ(server.submit(pr).status().code(), StatusCode::kUnavailable);
+    Request stale = pr;
+    stale.allow_stale = true;
+    auto degraded = server.query(stale);
+    ASSERT_TRUE(degraded.is_ok()) << degraded.status().to_string();
+    EXPECT_TRUE(degraded->degraded);
+    // One plan.
+    PlanRequest plan;
+    plan.graph = "Mut";
+    plan.plan.add_histogram(plan.plan.add_kernel(Kernel::kBFS, 6), 8);
+    ASSERT_TRUE(server.run_plan(plan).is_ok());
+
+    const ServerStats s = server.stats_snapshot();
+    const std::map<std::string, double> m = scrape(server);
+    const auto series = [&m](const std::string& family) {
+        return family_sum(m, family);
+    };
+    const auto status = [&m](const char* outcome) {
+        return family_sum(m, std::string("gm_serve_completed_total{status=\"") +
+                                 outcome + "\"}");
+    };
+    EXPECT_EQ(s.submitted, series("gm_serve_submitted_total"));
+    EXPECT_EQ(s.shed, series("gm_serve_admission_shed_total"));
+    EXPECT_EQ(s.infeasible, series("gm_serve_admission_infeasible_total"));
+    EXPECT_EQ(s.unavailable, series("gm_serve_unavailable_total"));
+    EXPECT_EQ(s.completed, series("gm_serve_completed_total"));
+    EXPECT_EQ(s.succeeded, status("succeeded"));
+    EXPECT_EQ(s.deadline_exceeded, status("deadline_exceeded"));
+    EXPECT_EQ(s.cancelled, status("cancelled"));
+    EXPECT_EQ(s.failed, status("failed"));
+    EXPECT_EQ(s.degraded, series("gm_serve_degraded_total"));
+    EXPECT_EQ(s.executions, series("gm_serve_executions_total"));
+    EXPECT_EQ(s.lanes_granted, series("gm_serve_lanes_granted_total"));
+    EXPECT_EQ(s.cache_hits, series("gm_serve_answered_from_cache_total"));
+    EXPECT_EQ(s.single_flight_joins,
+              series("gm_serve_single_flight_joins_total"));
+    EXPECT_EQ(s.retries, series("gm_serve_retries_total"));
+    EXPECT_EQ(s.retry_denied, series("gm_serve_retry_denied_total"));
+    EXPECT_EQ(s.mutations, series("gm_dyn_batches_total"));
+    EXPECT_EQ(s.mutation_inserted_arcs, series("gm_dyn_inserted_arcs_total"));
+    EXPECT_EQ(s.mutation_deleted_arcs, series("gm_dyn_deleted_arcs_total"));
+    EXPECT_EQ(s.compactions, series("gm_dyn_compactions_total"));
+    EXPECT_EQ(s.dyn_incremental, series("gm_dyn_incremental_updates_total"));
+    EXPECT_EQ(s.dyn_full, series("gm_dyn_full_rebuilds_total"));
+    EXPECT_EQ(s.plans_submitted, series("gm_plan_submitted_total"));
+    EXPECT_EQ(s.plans_completed, series("gm_plan_completed_total"));
+    EXPECT_EQ(s.plans_failed, series("gm_plan_failed_total"));
+    EXPECT_EQ(s.plan_nodes, series("gm_plan_nodes_total"));
+    EXPECT_EQ(s.plan_nodes_executed, series("gm_plan_nodes_executed_total"));
+    EXPECT_EQ(s.plan_node_cache_hits,
+              series("gm_plan_node_cache_hits_total"));
+    EXPECT_EQ(s.plan_nodes_shared, series("gm_plan_nodes_shared_total"));
+    EXPECT_EQ(s.plan_fused_sweeps, series("gm_plan_fused_sweeps_total"));
+    EXPECT_EQ(s.plan_sources_fused, series("gm_plan_sources_fused_total"));
+    EXPECT_EQ(s.breaker_transitions,
+              series("gm_serve_breaker_transitions_total"));
+    EXPECT_EQ(s.breaker_open_cells, series("gm_serve_breaker_open_cells"));
+    EXPECT_EQ(s.queue_depth, series("gm_serve_queue_depth"));
+    EXPECT_EQ(s.cache_entries, series("gm_serve_cache_entries"));
+    EXPECT_EQ(s.cache_bytes, series("gm_serve_cache_bytes"));
+
+    // And the burst really exercised each path.
+    EXPECT_EQ(s.cache_hits, 1u);
+    EXPECT_EQ(s.single_flight_joins, 1u);
+    EXPECT_EQ(s.shed, 1u);
+    EXPECT_EQ(s.unavailable, 1u);
+    EXPECT_EQ(s.failed, 1u);
+    EXPECT_EQ(s.degraded, 1u);
+    EXPECT_EQ(s.mutations, 1u);
+    EXPECT_EQ(s.plans_completed, 1u);
+    EXPECT_EQ(s.breaker_open_cells, 1u);
+    expect_invariants(s);
+}
+
+TEST(ServeLedgerTest, EachServerScrapesOnlyItsOwnTraffic)
+{
+    ServerOptions quiet;
+    quiet.workers = 1;
+    Server first(suite(), frameworks(), quiet);
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(first.query(bfs_on("Road", suite()[0].sources[i]))
+                        .is_ok());
+
+    ServerOptions scraped = quiet;
+    scraped.metrics_port = 0;
+    Server second(suite(), frameworks(), scraped);
+    ASSERT_TRUE(second.query(bfs_on("Kron", suite()[3].sources[0])).is_ok());
+
+    const std::map<std::string, double> m = scrape(second);
+    EXPECT_EQ(family_sum(m, "gm_serve_submitted_total"), 1u);
+    EXPECT_EQ(family_sum(m, "gm_serve_executions_total"), 1u);
+    EXPECT_EQ(family_sum(m, "gm_serve_cache_insertions_total"), 1u);
+    EXPECT_EQ(second.stats_snapshot().submitted, 1u);
+    EXPECT_EQ(first.stats_snapshot().submitted, 3u);
 }
 
 } // namespace

@@ -3,8 +3,9 @@
 # names is present, tier-1 verification, an AddressSanitizer pass over
 # the graph-store and GraphBLAS tests (the code most exposed to the
 # zero-copy view lifetimes introduced by the GraphStore refactor), a
-# ThreadSanitizer pass over the tracing, thread-pool, and serve tests
-# (the code with cross-thread counter/span/queue traffic), a
+# ThreadSanitizer pass over the tracing, thread-pool, serve, plan, and
+# dynamic-graph tests (the code with cross-thread counter/span/queue
+# traffic, and concurrent reads over a mutating overlay), a
 # profile-pipeline smoke run that fails on unparseable Chrome trace JSON,
 # a perf-gate smoke that records a baseline, self-compares it (must
 # pass), then re-runs with a fault-injected slowdown on one cell (must
@@ -73,12 +74,12 @@ cmake --build "$ASAN_DIR" -j "$JOBS" \
 "$ASAN_DIR/tests/grb_ops_edge_test"
 "$ASAN_DIR/tests/converter_test"
 
-echo "== tier 3: ThreadSanitizer build of the obs/par/serve tests =="
+echo "== tier 3: ThreadSanitizer build of the obs/par/serve/dyn tests =="
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . -DGM_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
     --target obs_test par_test par_stress_test serve_test \
-    serve_resilience_test telemetry_test plan_test
+    serve_resilience_test telemetry_test plan_test dyn_test
 "$TSAN_DIR/tests/obs_test"
 "$TSAN_DIR/tests/par_test"
 "$TSAN_DIR/tests/par_stress_test"
@@ -86,6 +87,7 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 "$TSAN_DIR/tests/serve_resilience_test"
 "$TSAN_DIR/tests/telemetry_test"
 "$TSAN_DIR/tests/plan_test"
+"$TSAN_DIR/tests/dyn_test"
 
 echo "== tier 4: profile pipeline smoke (suite --trace-out + validation) =="
 SMOKE_DIR="$BUILD_DIR/ci-profile-smoke"
