@@ -8,7 +8,10 @@
  * through a generation-tagged GraphView — base CSR merged with the delta
  * rows on the fly — and a compact() step folds the deltas into a fresh CSR
  * generation installed into the store (the old generation is retired and
- * stays byte-accounted until its last outstanding view drops).
+ * stays byte-accounted until its last outstanding view drops).  compact()
+ * is build() then install(): build() merges without touching the store, so
+ * a caller can run it while kernels still read the current base and
+ * quiesce them only around install().
  *
  * Determinism contract: apply() is a serial, order-defined fold of the
  * batch (inserts first, then deletes), so the resulting snapshot is a pure
@@ -226,16 +229,25 @@ struct BatchEffect
     }
 };
 
+/** A merged CSR from DynamicGraph::build(), not yet installed. */
+struct Compaction
+{
+    /** The overlay snapshot merged into csr; null when it was clean. */
+    std::shared_ptr<const DeltaSnapshot> delta;
+    graph::CSRGraph csr;
+};
+
 /**
  * The DeltaOverlay manager for one store: buffers batched mutations
  * against the store's current CSR generation and folds them into fresh
- * generations via compact().
+ * generations via build() + install().
  *
- * Thread safety: accessors and apply()/compact() are individually
- * locked, but apply()/compact() assume kernel execution against the
- * store's base reference is quiesced (gm::serve holds the whole lane
- * budget across Server::mutate).  Mutation order defines the result —
- * there is no concurrent-writer merge.
+ * Thread safety: every member is individually locked.  apply() and
+ * build() read only the pinned base and the overlay, never the store's
+ * base reference, so they may run beside kernel execution; install()
+ * swaps the store's base and assumes that execution is quiesced
+ * (gm::serve holds the whole lane budget around it).  Mutation order
+ * defines the result — there is no concurrent-writer merge.
  */
 class DynamicGraph
 {
@@ -268,13 +280,23 @@ class DynamicGraph
     support::StatusOr<BatchEffect> apply(const MutationBatch& batch);
 
     /**
-     * Fold pending deltas into a fresh CSR and install it into the store
-     * as the next generation (per-vertex parallel merge, deterministic).
-     * No-op when the overlay is clean.
+     * Merge base + pending deltas into a fresh CSR (per-vertex parallel
+     * merge, deterministic) without touching the store.  Empty when the
+     * overlay is clean.
+     */
+    Compaction build() const;
+
+    /**
+     * Install @p built into the store as the next generation and clear
+     * the overlay.  Asserts that nothing was applied or installed since
+     * the build(); a clean build installs nothing.
      *
      * @return the store generation now current.
      */
-    std::uint64_t compact();
+    std::uint64_t install(Compaction built);
+
+    /** install(build()): fold pending deltas into the next generation. */
+    std::uint64_t compact() { return install(build()); }
 
   private:
     std::shared_ptr<store::GraphStore> store_;

@@ -262,16 +262,21 @@ DynamicGraph::apply(const MutationBatch& batch)
     return effect;
 }
 
-std::uint64_t
-DynamicGraph::compact()
+Compaction
+DynamicGraph::build() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!delta_)
-        return generation_;
+    std::shared_ptr<const graph::CSRGraph> base;
+    Compaction built;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        base = base_;
+        built.delta = delta_;
+    }
+    if (!built.delta)
+        return built;
 
-    const vid_t n = base_->num_vertices();
-    const bool directed = base_->is_directed();
-    const GraphView view(base_, delta_, generation_);
+    const vid_t n = base->num_vertices();
+    const GraphView view(base, built.delta, /*generation=*/0);
 
     const auto merge_direction = [&](bool out, std::vector<eid_t>* off,
                                      std::vector<vid_t>* nbr) {
@@ -296,21 +301,29 @@ DynamicGraph::compact()
     std::vector<eid_t> out_off;
     std::vector<vid_t> out_nbr;
     merge_direction(/*out=*/true, &out_off, &out_nbr);
-
-    graph::CSRGraph next;
-    if (directed) {
+    if (base->is_directed()) {
         std::vector<eid_t> in_off;
         std::vector<vid_t> in_nbr;
         merge_direction(/*out=*/false, &in_off, &in_nbr);
-        next = graph::CSRGraph(n, true, std::move(out_off),
-                               std::move(out_nbr), std::move(in_off),
-                               std::move(in_nbr));
+        built.csr = graph::CSRGraph(n, true, std::move(out_off),
+                                    std::move(out_nbr), std::move(in_off),
+                                    std::move(in_nbr));
     } else {
-        next = graph::CSRGraph(n, false, std::move(out_off),
-                               std::move(out_nbr));
+        built.csr = graph::CSRGraph(n, false, std::move(out_off),
+                                    std::move(out_nbr));
     }
+    return built;
+}
 
-    generation_ = store_->install_generation(std::move(next));
+std::uint64_t
+DynamicGraph::install(Compaction built)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    GM_ASSERT(built.delta == delta_,
+              "overlay changed between build() and install()");
+    if (!delta_)
+        return generation_;
+    generation_ = store_->install_generation(std::move(built.csr));
     store_->set_overlay_bytes(0);
     base_ = store_->base_ptr();
     delta_.reset();

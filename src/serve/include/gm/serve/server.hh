@@ -142,9 +142,6 @@ struct ServerOptions
      *  the generation; 0 = never compact, deltas accumulate and queries
      *  keep reading the merged view's base generation). */
     int dyn_compact_every = 1;
-    /** Dirty-set fraction (|touched vertices| / n) above which the
-     *  incremental kernel maintainers fall back to full recompute. */
-    double dyn_full_threshold = 0.05;
 };
 
 /** Outcome of one Server::mutate() batch, for callers and tests. */
@@ -159,11 +156,16 @@ struct MutationOutcome
     std::size_t dirty = 0;       ///< vertices whose adjacency changed
     double dirty_fraction = 0;   ///< dirty / n
     bool compacted = false;      ///< folded into a fresh CSR generation
-    /** Incremental-vs-full decisions for the maintained kernels (false =
-     *  fell back to full recompute; meaningless when nothing changed). */
+    /** Always false: the server maintains no kernel answers (served CC
+     *  and PR run the kernel on the current generation).  Kept because
+     *  gapbench/workloads.cc reads them, and gapbench/ is the benchmark
+     *  both sides of a comparison build unchanged (BENCHMARK.json). */
     bool cc_incremental = false;
     bool pr_incremental = false;
-    double mutate_seconds = 0;   ///< apply + maintain + compact wall time
+    double mutate_seconds = 0;   ///< whole-call wall time, quiesce included
+    /** Time blocked taking the lane budget to install the compacted
+     *  generation; 0 when the batch did not compact. */
+    double quiesce_seconds = 0;
 };
 
 /**
@@ -271,8 +273,6 @@ struct ServerStats
     std::uint64_t mutation_inserted_arcs = 0;
     std::uint64_t mutation_deleted_arcs = 0;
     std::uint64_t compactions = 0; ///< CSR generations installed
-    std::uint64_t dyn_incremental = 0; ///< maintainer repairs in place
-    std::uint64_t dyn_full = 0;        ///< maintainer full recomputes
     std::uint64_t plans_submitted = 0; ///< submit_plan() accepted
     std::uint64_t plans_completed = 0; ///< finished, any status
     std::uint64_t plans_failed = 0;    ///< subset: any node failed
@@ -393,21 +393,23 @@ class Server
 
     /**
      * Apply one batch of edge mutations to @p graph between queries.
-     * Blocks until every executing leader finishes (the mutation
-     * quiesces kernel execution by holding the entire lane budget), then
-     * applies the batch to the graph's gm::dyn overlay, repairs the
-     * maintained kernels (CC and PageRank — incrementally when the dirty
-     * set is small and the batch is insert-only for CC, full recompute
-     * otherwise), and per dyn_compact_every folds the overlay into a
-     * fresh CSR generation installed into the store.  Queries submitted
-     * concurrently are unaffected except for waiting: cached answers
-     * from older generations stop being fresh hits (they remain
-     * allow_stale fodder, served as degraded) and the next fresh query
-     * recomputes against the new generation.
+     * Applies the batch to the graph's gm::dyn overlay and, per
+     * dyn_compact_every, builds the merged CSR — both beside running
+     * queries, which never read the overlay.  Only installing that CSR
+     * as the store's next generation is exclusive: it blocks until every
+     * executing leader finishes and holds the entire lane budget just
+     * for the swap.  A batch that does not compact takes no lanes and
+     * stays invisible to queries until a later compaction.  Afterwards
+     * cached answers from older generations stop being fresh hits (they
+     * remain allow_stale fodder, served as degraded) and the next fresh
+     * query recomputes against the new generation.  Mutations are
+     * serialized by dyn_mu_, which is always taken before the lane gate.
      *
      * Returns kInvalidInput for an unknown graph or an out-of-range
-     * endpoint (the batch is rejected whole — nothing applied), and
-     * kResourceExhausted after shutdown().
+     * endpoint (the batch is rejected whole — nothing applied),
+     * kUnavailable for an error fault at "serve.mutate" (the batch is
+     * already in the overlay and reaches queries with the next
+     * compaction), and kResourceExhausted after shutdown().
      */
     support::StatusOr<MutationOutcome>
     mutate(const std::string& graph, const dyn::MutationBatch& batch);
@@ -579,9 +581,10 @@ class Server
 
     std::mutex metrics_mu_; ///< serializes JSONL appends across workers
 
-    /** Per-graph dynamic overlays + kernel maintainers, created lazily on
-     *  first mutate().  dyn_mu_ serializes mutations; readers never take
-     *  it (they go through the store, quiesced by the lane budget). */
+    /** Per-graph dynamic overlays, created lazily on first mutate().
+     *  dyn_mu_ serializes mutations and is taken before the lane gate;
+     *  readers never take it (they go through the store, quiesced by the
+     *  lane budget around each install). */
     std::mutex dyn_mu_;
     std::unordered_map<std::string, std::unique_ptr<detail::DynState>>
         dyn_;

@@ -129,13 +129,12 @@ struct ServeTelemetry
     telemetry::Counter* dyn_inserted_arcs = nullptr;
     telemetry::Counter* dyn_deleted_arcs = nullptr;
     telemetry::Counter* dyn_compactions = nullptr;
-    telemetry::Counter* dyn_incremental = nullptr;
-    telemetry::Counter* dyn_full = nullptr;
     telemetry::Gauge* dyn_generation = nullptr;
     telemetry::Gauge* dyn_dirty_fraction = nullptr;
     telemetry::Gauge* dyn_overlay_bytes = nullptr;
     telemetry::Histogram* dyn_batch_edges = nullptr;
     telemetry::Histogram* dyn_mutate_ns = nullptr;
+    telemetry::Histogram* dyn_quiesce_ns = nullptr; ///< compacting batches
     telemetry::Counter* plans_submitted = nullptr;
     telemetry::Counter* plans_completed = nullptr;
     telemetry::Counter* plans_failed = nullptr;
@@ -214,14 +213,12 @@ struct ServeTelemetry
         dyn_inserted_arcs = &reg.counter("gm_dyn_inserted_arcs_total");
         dyn_deleted_arcs = &reg.counter("gm_dyn_deleted_arcs_total");
         dyn_compactions = &reg.counter("gm_dyn_compactions_total");
-        dyn_incremental =
-            &reg.counter("gm_dyn_incremental_updates_total");
-        dyn_full = &reg.counter("gm_dyn_full_rebuilds_total");
         dyn_generation = &reg.gauge("gm_dyn_generation");
         dyn_dirty_fraction = &reg.gauge("gm_dyn_dirty_fraction");
         dyn_overlay_bytes = &reg.gauge("gm_dyn_overlay_bytes");
         dyn_batch_edges = &reg.histogram("gm_dyn_batch_edges");
         dyn_mutate_ns = &reg.histogram("gm_dyn_mutate_ns");
+        dyn_quiesce_ns = &reg.histogram("gm_dyn_quiesce_ns");
         plans_submitted = &reg.counter("gm_plan_submitted_total");
         plans_completed = &reg.counter("gm_plan_completed_total");
         plans_failed = &reg.counter("gm_plan_failed_total");

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <thread>
 
-#include "gm/dyn/incremental.hh"
 #include "gm/obs/metrics.hh"
 #include "gm/par/thread_pool.hh"
 #include "gm/support/fault_injector.hh"
@@ -32,26 +31,19 @@ namespace detail
 
 /**
  * Per-graph dynamic state, created lazily on the first mutate() for a
- * graph: the store's delta overlay plus the kernels the server maintains
- * across mutations.  CC and PageRank are global (sourceless) answers, so
- * one maintainer each covers the graph; BFS/SSSP maintenance is per
- * source and lives with callers that pin a source (bench/dyn_maintenance
- * exercises it).  Guarded by the server's dyn_mu_.
+ * graph: the store's delta overlay and the compaction cadence.  The
+ * server maintains no kernel answers across mutations — every served
+ * answer runs its kernel on the current generation.  Guarded by the
+ * server's dyn_mu_.
  */
 struct DynState
 {
     dyn::DynamicGraph graph;
-    dyn::CCMaintainer cc;
-    dyn::PageRankMaintainer pr;
     std::uint64_t batches = 0; ///< applied batches (compaction cadence)
 
-    DynState(std::shared_ptr<store::GraphStore> store,
-             const dyn::MaintainerOptions& opts)
-        : graph(std::move(store)), cc(opts), pr({}, opts)
+    explicit DynState(std::shared_ptr<store::GraphStore> store)
+        : graph(std::move(store))
     {
-        const dyn::GraphView view = graph.view();
-        cc.rebuild(view);
-        pr.rebuild(view);
     }
 };
 
@@ -517,70 +509,73 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
     const std::int64_t begin_ns = Timer::now_ns();
     MutationOutcome outcome;
     outcome.requested = batch.size();
-
-    // Exclusive with kernel execution (leaders read the store's base by
-    // plain reference) and, via dyn_mu_, with other mutations.
-    acquire_all_lanes();
-    Status status = Status::ok();
     std::uint64_t generation_peak = 0;
     double overlay_bytes = 0;
+    std::int64_t quiesce_ns = 0;
     {
+        // Lock order: dyn_mu_, then the lane gate.  Leaders never take
+        // dyn_mu_, so waiting for them here cannot deadlock.
         std::lock_guard<std::mutex> lock(dyn_mu_);
         auto it = dyn_.find(graph);
         if (it == dyn_.end())
-            it = dyn_.emplace(graph,
-                              std::make_unique<detail::DynState>(
-                                  ds->store(),
-                                  dyn::MaintainerOptions{
-                                      options_.dyn_full_threshold}))
+            it = dyn_.emplace(graph, std::make_unique<detail::DynState>(
+                                         ds->store()))
                      .first;
         detail::DynState& st = *it->second;
+        // Apply and build read only the pinned base and the overlay,
+        // which no leader reads, so they run beside kernel execution.
         auto effect_or = st.graph.apply(batch);
-        if (!effect_or.is_ok()) {
-            status = effect_or.status();
-        } else {
-            const dyn::BatchEffect& effect = effect_or.value();
-            const dyn::GraphView view = st.graph.view();
-            outcome.inserted_arcs = effect.inserted_arcs;
-            outcome.deleted_arcs = effect.deleted_arcs;
-            outcome.dirty = effect.dirty.size();
-            outcome.dirty_fraction =
-                effect.dirty_fraction(view.num_vertices());
-            if (effect.changed()) {
-                outcome.cc_incremental = st.cc.update(view, effect);
-                outcome.pr_incremental = st.pr.update(view, effect);
-            }
-            ++st.batches;
-            if (options_.dyn_compact_every > 0 &&
-                st.batches % static_cast<std::uint64_t>(
-                                 options_.dyn_compact_every) ==
-                    0 &&
-                st.graph.pending_entries() > 0) {
-                outcome.generation = st.graph.compact();
-                outcome.compacted = true;
-            } else {
-                outcome.generation = ds->store()->generation();
-            }
-            dyn_generation_peak_ =
-                std::max(dyn_generation_peak_, outcome.generation);
-            generation_peak = dyn_generation_peak_;
-            overlay_bytes =
-                static_cast<double>(st.graph.pending_bytes());
-        }
-    }
-    release_lanes(lane_budget_);
-    if (!status.is_ok())
-        return status;
+        if (!effect_or.is_ok())
+            return effect_or.status();
+        const dyn::BatchEffect& effect = effect_or.value();
+        outcome.inserted_arcs = effect.inserted_arcs;
+        outcome.deleted_arcs = effect.deleted_arcs;
+        outcome.dirty = effect.dirty.size();
+        outcome.dirty_fraction =
+            effect.dirty_fraction(st.graph.view().num_vertices());
+        ++st.batches;
+        const bool compact =
+            options_.dyn_compact_every > 0 &&
+            st.batches % static_cast<std::uint64_t>(
+                             options_.dyn_compact_every) ==
+                0 &&
+            st.graph.pending_entries() > 0;
+        dyn::Compaction built;
+        if (compact)
+            built = st.graph.build();
 
-    outcome.mutate_seconds =
-        static_cast<double>(Timer::now_ns() - begin_ns) * 1e-9;
-    const bool changed =
-        outcome.inserted_arcs > 0 || outcome.deleted_arcs > 0;
-    const std::uint64_t incremental =
-        changed ? static_cast<std::uint64_t>(outcome.cc_incremental) +
-                      static_cast<std::uint64_t>(outcome.pr_incremental)
-                : 0;
-    const std::uint64_t full = changed ? 2 - incremental : 0;
+        // Chaos site: a delay fault stretches the part of the mutation
+        // that runs beside queries; an error fault fails the call
+        // before the install.
+        try {
+            support::FaultInjector::global().at("serve.mutate");
+        } catch (const support::FaultInjectedError&) {
+            return Status(StatusCode::kUnavailable,
+                          "injected fault at serve.mutate");
+        }
+
+        if (compact) {
+            // Exclusive with kernel execution only for the swap: leaders
+            // read the store's base by plain reference.
+            const std::int64_t quiesce_begin = Timer::now_ns();
+            acquire_all_lanes();
+            quiesce_ns = Timer::now_ns() - quiesce_begin;
+            outcome.generation = st.graph.install(std::move(built));
+            release_lanes(lane_budget_);
+            outcome.compacted = true;
+        } else {
+            outcome.generation = ds->store()->generation();
+        }
+        dyn_generation_peak_ =
+            std::max(dyn_generation_peak_, outcome.generation);
+        generation_peak = dyn_generation_peak_;
+        overlay_bytes = static_cast<double>(st.graph.pending_bytes());
+    }
+
+    const std::int64_t elapsed_ns =
+        std::max<std::int64_t>(0, Timer::now_ns() - begin_ns);
+    outcome.mutate_seconds = static_cast<double>(elapsed_ns) * 1e-9;
+    outcome.quiesce_seconds = static_cast<double>(quiesce_ns) * 1e-9;
     tm_->dyn_batches->inc();
     tm_->dyn_batch_edges->record(
         static_cast<std::uint64_t>(outcome.requested));
@@ -588,15 +583,14 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
         static_cast<std::uint64_t>(outcome.inserted_arcs));
     tm_->dyn_deleted_arcs->inc(
         static_cast<std::uint64_t>(outcome.deleted_arcs));
-    if (outcome.compacted)
+    if (outcome.compacted) {
         tm_->dyn_compactions->inc();
-    tm_->dyn_incremental->inc(incremental);
-    tm_->dyn_full->inc(full);
+        tm_->dyn_quiesce_ns->record(static_cast<std::uint64_t>(quiesce_ns));
+    }
     tm_->dyn_generation->set(static_cast<double>(generation_peak));
     tm_->dyn_dirty_fraction->set(outcome.dirty_fraction);
     tm_->dyn_overlay_bytes->set(overlay_bytes);
-    tm_->dyn_mutate_ns->record(static_cast<std::uint64_t>(
-        std::max<std::int64_t>(0, Timer::now_ns() - begin_ns)));
+    tm_->dyn_mutate_ns->record(static_cast<std::uint64_t>(elapsed_ns));
     write_mutation_record(graph, outcome);
     return outcome;
 }
@@ -1050,8 +1044,6 @@ Server::stats_snapshot() const
     out.mutation_inserted_arcs = t.dyn_inserted_arcs->value();
     out.mutation_deleted_arcs = t.dyn_deleted_arcs->value();
     out.compactions = t.dyn_compactions->value();
-    out.dyn_incremental = t.dyn_incremental->value();
-    out.dyn_full = t.dyn_full->value();
     out.plans_completed = t.plans_completed->value();
     out.plans_failed = t.plans_failed->value();
     out.plan_nodes_executed = t.plan_nodes_executed->value();
@@ -1123,11 +1115,6 @@ Server::write_mutation_record(const std::string& graph,
 {
     if (options_.metrics_path.empty())
         return;
-    const bool changed =
-        outcome.inserted_arcs > 0 || outcome.deleted_arcs > 0;
-    const auto decision = [changed](bool incremental) {
-        return !changed ? "none" : incremental ? "incremental" : "full";
-    };
     std::ostringstream line;
     line << "{\"kind\":\"serve.mutation\",\"graph\":\""
          << support::json_escape(graph)
@@ -1135,12 +1122,12 @@ Server::write_mutation_record(const std::string& graph,
          << ",\"inserted_arcs\":" << outcome.inserted_arcs
          << ",\"deleted_arcs\":" << outcome.deleted_arcs
          << ",\"dirty\":" << outcome.dirty << ",\"dirty_fraction\":"
-         << support::json_double(outcome.dirty_fraction) << ",\"cc\":\""
-         << decision(outcome.cc_incremental) << "\",\"pr\":\""
-         << decision(outcome.pr_incremental)
-         << "\",\"compacted\":" << (outcome.compacted ? 1 : 0)
+         << support::json_double(outcome.dirty_fraction)
+         << ",\"compacted\":" << (outcome.compacted ? 1 : 0)
          << ",\"generation\":" << outcome.generation << ",\"mutate_ms\":"
          << support::json_double(outcome.mutate_seconds * 1e3)
+         << ",\"quiesce_ms\":"
+         << support::json_double(outcome.quiesce_seconds * 1e3)
          << ",\"t_ns\":" << Timer::now_ns() << "}";
     append_line(options_.metrics_path, line.str());
 }

@@ -122,8 +122,9 @@ class GraphStore
      *
      * Concurrency: accounting/fingerprint getters are safe to call
      * concurrently, but callers must quiesce kernel execution that reads
-     * base() by plain reference before swapping (gm::serve holds the whole
-     * lane budget across Server::mutate for exactly this reason).
+     * base() by plain reference for the swap itself.  Building @p next
+     * needs no quiescence: gm::serve builds it beside running kernels
+     * and holds the whole lane budget only around this call.
      *
      * @return the new generation id.
      */

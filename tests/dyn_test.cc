@@ -416,6 +416,41 @@ TEST(DynGenerations, IdentityStableWhileFingerprintTracksGenerations)
     EXPECT_NE(store->fingerprint(), id0);
 }
 
+TEST(DynGenerations, BuildLeavesTheStoreAloneUntilInstall)
+{
+    auto store = make_store(graph::make_uniform(8, 4, 35));
+    DynamicGraph dg(store);
+    const std::uint64_t before = structure_hash(store->base());
+    MutationBatch batch;
+    batch.insert(3, 11);
+    ASSERT_TRUE(dg.apply(batch).status().is_ok());
+
+    dyn::Compaction built = dg.build();
+    EXPECT_EQ(store->generation(), 0u);
+    EXPECT_EQ(structure_hash(store->base()), before);
+    const std::uint64_t merged = structure_hash(built.csr);
+    EXPECT_EQ(dg.install(std::move(built)), 1u);
+    EXPECT_EQ(structure_hash(store->base()), merged);
+    EXPECT_EQ(dg.pending_entries(), 0u);
+    // A build of a clean overlay installs nothing.
+    EXPECT_EQ(dg.install(dg.build()), 1u);
+}
+
+TEST(DynGenerationsDeathTest, InstallRejectsABuildTheOverlayOutgrew)
+{
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto store = make_store(graph::make_uniform(8, 4, 37));
+    DynamicGraph dg(store);
+    MutationBatch first;
+    first.insert(3, 11);
+    ASSERT_TRUE(dg.apply(first).status().is_ok());
+    dyn::Compaction built = dg.build();
+    MutationBatch second;
+    second.insert(4, 12);
+    ASSERT_TRUE(dg.apply(second).status().is_ok());
+    EXPECT_DEATH(dg.install(std::move(built)), "overlay changed");
+}
+
 TEST(DynGenerations, RetiredGenerationBytesFollowOutstandingViews)
 {
     auto store = make_store(graph::make_uniform(8, 4, 33));

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -976,7 +977,6 @@ TEST(ServeDynTest, MutateInvalidatesCacheAndBumpsGeneration)
     EXPECT_EQ(s.mutations, 1u);
     EXPECT_EQ(s.compactions, 1u);
     EXPECT_GT(s.mutation_inserted_arcs, 0u);
-    EXPECT_EQ(s.dyn_incremental + s.dyn_full, 2u); // CC + PR decisions
 
     // And the new generation is a normal cache citizen again.
     auto rehit = server.query(req);
@@ -1104,11 +1104,186 @@ TEST(ServeDynTest, WritesMutationRecords)
         EXPECT_NE(line.find("\"graph\":\"Mut\""), std::string::npos);
         EXPECT_NE(line.find("\"requested\":2"), std::string::npos);
         EXPECT_NE(line.find("\"generation\":1"), std::string::npos);
-        EXPECT_NE(line.find("\"cc\":\""), std::string::npos);
+        EXPECT_NE(line.find("\"quiesce_ms\":"), std::string::npos);
         EXPECT_NE(line.find("\"dirty_fraction\":"), std::string::npos);
     }
     EXPECT_EQ(mutation_records, 1);
     std::remove(path.c_str());
+}
+
+/** A query against mutable_suite()'s graph. */
+Request
+mut_query(Kernel kernel)
+{
+    Request req;
+    req.kernel = kernel;
+    req.graph = "Mut";
+    return req;
+}
+
+TEST(ServeDynTest, QueriesRunWhileAMutationIsOutsideItsInstall)
+{
+    // A delay at serve.mutate parks the mutation between apply and
+    // install.  Queries keep executing meanwhile, on generation 0: only
+    // the install takes the lane budget.
+    ServerOptions options;
+    options.workers = 1;
+    options.cache_capacity_bytes = 0;
+    Server server(mutable_suite(), frameworks(), options);
+    ScopedFaults faults("serve.mutate:1x:1:delay=300");
+
+    std::atomic<bool> mutated{false};
+    std::optional<support::StatusOr<MutationOutcome>> outcome;
+    std::thread writer([&] {
+        dyn::MutationBatch batch;
+        batch.insert(4, 90);
+        outcome = server.mutate("Mut", batch);
+        mutated.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    auto during = server.query(mut_query(Kernel::kBFS));
+    const bool answered_first = !mutated.load();
+    writer.join();
+
+    ASSERT_TRUE(during.is_ok()) << during.status().to_string();
+    EXPECT_TRUE(answered_first);
+    EXPECT_EQ(during->generation, 0u);
+    ASSERT_TRUE(outcome->is_ok()) << outcome->status().to_string();
+    EXPECT_TRUE((*outcome)->compacted);
+    EXPECT_EQ((*outcome)->generation, 1u);
+
+    auto after = server.query(mut_query(Kernel::kBFS));
+    ASSERT_TRUE(after.is_ok()) << after.status().to_string();
+    EXPECT_EQ(after->generation, 1u);
+}
+
+TEST(ServeDynTest, MutateErrorFaultLeavesTheBatchForTheNextCompaction)
+{
+    ServerOptions options;
+    options.workers = 1;
+    Server server(mutable_suite(), frameworks(), options);
+    {
+        ScopedFaults faults("serve.mutate:1x:1");
+        dyn::MutationBatch batch;
+        batch.insert(8, 140);
+        auto failed = server.mutate("Mut", batch);
+        ASSERT_FALSE(failed.is_ok());
+        EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+    }
+    EXPECT_EQ(server.stats_snapshot().mutations, 0u);
+
+    // The next compaction installs both batches: replaying the failed
+    // one finds its edge already present.
+    dyn::MutationBatch retry;
+    retry.insert(8, 140);
+    auto outcome = server.mutate("Mut", retry);
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    EXPECT_EQ(outcome->inserted_arcs, 0);
+    EXPECT_TRUE(outcome->compacted);
+    EXPECT_EQ(outcome->generation, 1u);
+}
+
+/** Submit a PR query whose leader sleeps 400 ms in the server's only
+ *  lane, and return once it holds that lane. */
+Server::Handle
+start_slow_leader(Server& server)
+{
+    auto handle = server.submit(mut_query(Kernel::kPR));
+    EXPECT_TRUE(handle.is_ok()) << handle.status().to_string();
+    EXPECT_TRUE(
+        eventually([&] { return server.stats_snapshot().executions == 1; }));
+    return *std::move(handle);
+}
+
+ServerOptions
+one_lane_options(int compact_every)
+{
+    ServerOptions options;
+    options.workers = 1;
+    options.lane_budget = 1;
+    options.dyn_compact_every = compact_every;
+    return options;
+}
+
+TEST(ServeDynTest, BatchThatDoesNotCompactTakesNoLanes)
+{
+    Server server(mutable_suite(), frameworks(), one_lane_options(0));
+    ScopedFaults faults("serve.execute:1x:1:delay=400");
+    const Server::Handle leader = start_slow_leader(server);
+
+    dyn::MutationBatch batch;
+    batch.insert(6, 110);
+    auto outcome = server.mutate("Mut", batch);
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    // The leader is still asleep in its lane: the mutation never waited.
+    EXPECT_EQ(leader.wait_for(0).status().code(),
+              StatusCode::kDeadlineExceeded);
+    EXPECT_FALSE(outcome->compacted);
+    EXPECT_EQ(outcome->quiesce_seconds, 0.0);
+    EXPECT_LT(outcome->mutate_seconds, 0.2);
+    EXPECT_EQ(outcome->generation, 0u);
+
+    auto got = leader.wait();
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    EXPECT_EQ(got->generation, 0u);
+}
+
+TEST(ServeDynTest, CompactionWaitsForLeadersOnlyToInstall)
+{
+    Server server(mutable_suite(), frameworks(), one_lane_options(1));
+    ScopedFaults faults("serve.execute:1x:1:delay=400");
+    const Server::Handle leader = start_slow_leader(server);
+
+    dyn::MutationBatch batch;
+    batch.insert(6, 110);
+    auto outcome = server.mutate("Mut", batch);
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    EXPECT_TRUE(outcome->compacted);
+    EXPECT_EQ(outcome->generation, 1u);
+    EXPECT_GE(outcome->quiesce_seconds, 0.25);
+    EXPECT_LE(outcome->quiesce_seconds, outcome->mutate_seconds);
+
+    // The install waited for the leader, which ran on generation 0.
+    auto got = leader.wait_for(0);
+    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+    EXPECT_EQ(got->generation, 0u);
+}
+
+TEST(ServeDynTest, ServedCcAndPrMatchDirectCallsOnTheNewGeneration)
+{
+    // Served sourceless answers after a compacting mutation are kernel
+    // runs on the new generation, bit for bit.
+    const harness::DatasetSuite graphs = mutable_suite();
+    const harness::Dataset& ds = graphs[0];
+    ServerOptions options;
+    options.workers = 2;
+    Server server(graphs, frameworks(), options);
+    for (const Kernel kernel : {Kernel::kCC, Kernel::kPR})
+        ASSERT_TRUE(server.query(mut_query(kernel)).is_ok());
+
+    dyn::MutationBatch batch;
+    batch.insert(0, 200);
+    batch.insert(17, 33);
+    batch.erase(5, ds.g().out_neigh(5).front());
+    auto outcome = server.mutate("Mut", batch);
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    ASSERT_TRUE(outcome->compacted);
+    ASSERT_EQ(ds.store()->generation(), 1u);
+
+    const harness::Framework& gap = frameworks()[harness::kGapIndex];
+    const ResultValue cc = direct(
+        [&] { return ResultValue(gap.cc(ds, Mode::kBaseline)); });
+    const ResultValue pr = direct(
+        [&] { return ResultValue(gap.pr(ds, Mode::kBaseline)); });
+    for (const auto& [kernel, expected] :
+         {std::pair{Kernel::kCC, &cc}, std::pair{Kernel::kPR, &pr}}) {
+        auto got = server.query(mut_query(kernel));
+        ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+        EXPECT_FALSE(got->cache_hit);
+        EXPECT_EQ(got->generation, 1u);
+        EXPECT_EQ(got->fingerprint, result_fingerprint(*expected))
+            << harness::to_string(kernel);
+    }
 }
 
 // --------------------------------------------------------------- ledger
@@ -1236,8 +1411,6 @@ TEST(ServeLedgerTest, StatsEqualTheServersOwnScrape)
     EXPECT_EQ(s.mutation_inserted_arcs, series("gm_dyn_inserted_arcs_total"));
     EXPECT_EQ(s.mutation_deleted_arcs, series("gm_dyn_deleted_arcs_total"));
     EXPECT_EQ(s.compactions, series("gm_dyn_compactions_total"));
-    EXPECT_EQ(s.dyn_incremental, series("gm_dyn_incremental_updates_total"));
-    EXPECT_EQ(s.dyn_full, series("gm_dyn_full_rebuilds_total"));
     EXPECT_EQ(s.plans_submitted, series("gm_plan_submitted_total"));
     EXPECT_EQ(s.plans_completed, series("gm_plan_completed_total"));
     EXPECT_EQ(s.plans_failed, series("gm_plan_failed_total"));

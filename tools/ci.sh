@@ -29,7 +29,8 @@
 # chaos storm with a 10% write mix (Server::mutate batches between
 # queries), gating storm availability >= 99%, the monotone
 # gm_dyn_generation gauge across two mid-run scrapes, and
-# profile_report's consumption of the serve.mutation JSONL records,
+# profile_report's consumption of the serve.mutation JSONL records
+# (each with its quiesce_ms, tabulated in a quiesce/op column),
 # and a plan smoke that re-runs the chaos storm with a 20% query-plan
 # mix on top of the 10% write mix (multi-kernel DAGs through
 # Server::submit_plan), gating storm availability >= 99%, plan-counter
@@ -320,9 +321,10 @@ DYN_DIR="$BUILD_DIR/ci-dyn-smoke"
 rm -rf "$DYN_DIR"
 mkdir -p "$DYN_DIR"
 # The chaos storm re-runs with a 10% write mix: seeded mutation batches
-# land between queries (Server::mutate quiesces the lane budget, applies
-# the overlay delta, maintains CC/PR, compacts a fresh CSR generation,
-# and lets generation-tagged cache entries go stale).  The run must
+# land between queries (Server::mutate applies the overlay delta and
+# builds a fresh CSR generation beside running queries, holds the lane
+# budget only to install it, and lets generation-tagged cache entries go
+# stale).  The run must
 # (a) hold storm-phase availability at or above 99% even while the graph
 # mutates under faults (serve_bench exits 4 below the floor), (b) expose
 # a gm_dyn_generation gauge that only moves forward — scraped twice
@@ -382,9 +384,20 @@ grep -q " failed=0 inserted_arcs=" "$DYN_DIR/dyn.log"
 # The finished run's generation must be ahead of (or equal to) the last
 # mid-run scrape, and mutation records must be in the stream.
 grep -q '"kind":"serve.mutation"' "$DYN_DIR/dyn_metrics.jsonl"
+# Every mutation record times its quiesce apart from the whole call, and
+# the MUTATIONS table shows it.
+if grep '"kind":"serve.mutation"' "$DYN_DIR/dyn_metrics.jsonl" |
+    grep -qv '"quiesce_ms":'; then
+    echo "serve.mutation record without quiesce_ms" >&2
+    exit 1
+fi
 "$BUILD_DIR/tools/profile_report" --slo "$DYN_DIR/dyn_metrics.jsonl" \
     > "$DYN_DIR/dyn_report.txt"
 grep -q "MUTATIONS" "$DYN_DIR/dyn_report.txt"
+if ! grep -A1 "MUTATIONS" "$DYN_DIR/dyn_report.txt" | grep -q "quiesce/op"; then
+    echo "profile_report MUTATIONS table has no quiesce/op column" >&2
+    exit 1
+fi
 # The per-request records still feed the workload table cleanly.
 "$BUILD_DIR/tools/profile_report" --metrics "$DYN_DIR/dyn_metrics.jsonl" \
     > /dev/null 2> "$DYN_DIR/report.err"

@@ -245,7 +245,9 @@ report_metrics(const std::string& path, bool with_spans,
 /**
  * Summarize a serve JSONL stream: one table row per serve.slo phase
  * record, a per-graph mutation table (serve.mutation batches from
- * Server::mutate), a per-graph plan table (serve.plan records from
+ * Server::mutate; quiesce/op and ms/op are mean milliseconds per batch
+ * blocked on the lane budget and in the whole call), a per-graph plan
+ * table (serve.plan records from
  * Server::submit_plan), then burn-monitor transitions, refusal counts
  * by status code, and the telemetry snapshot envelope (count + last
  * sequence number).
@@ -273,9 +275,8 @@ report_slo(const std::string& path)
         std::uint64_t deleted_arcs = 0;
         std::uint64_t compactions = 0;
         std::uint64_t generation = 0; ///< highest seen
-        std::uint64_t incremental = 0;
-        std::uint64_t full = 0;
         double dirty_fraction_total = 0;
+        double quiesce_ms_total = 0;
         double mutate_ms_total = 0;
     };
     /** Per-graph rollup of serve.plan records. */
@@ -335,15 +336,8 @@ report_slo(const std::string& path)
                 m.deleted_arcs += u64("deleted_arcs");
                 m.compactions += u64("compacted");
                 m.generation = std::max(m.generation, u64("generation"));
-                for (const char* kernel : {"cc", "pr"}) {
-                    const std::string decision =
-                        field_or(fields, kernel, "none");
-                    if (decision == "incremental")
-                        ++m.incremental;
-                    else if (decision == "full")
-                        ++m.full;
-                }
                 m.dirty_fraction_total += dbl("dirty_fraction");
+                m.quiesce_ms_total += dbl("quiesce_ms");
                 m.mutate_ms_total += dbl("mutate_ms");
             }
         } else if (kind == "serve.plan") {
@@ -430,21 +424,21 @@ report_slo(const std::string& path)
                   << std::left << std::setw(10) << "Graph" << std::right
                   << std::setw(9) << "Batches" << std::setw(9) << "InsArcs"
                   << std::setw(9) << "DelArcs" << std::setw(9) << "Compact"
-                  << std::setw(6) << "Gen" << std::setw(7) << "Incr"
-                  << std::setw(7) << "Full" << std::setw(9) << "Dirty"
-                  << std::setw(9) << "ms/op" << "\n";
+                  << std::setw(6) << "Gen" << std::setw(9) << "Dirty"
+                  << std::setw(12) << "quiesce/op" << std::setw(9)
+                  << "ms/op" << "\n";
         for (const auto& [graph, m] : mutations) {
             const double batches = static_cast<double>(m.batches);
             std::cout << std::left << std::setw(10) << graph << std::right
                       << std::setw(9) << m.batches << std::setw(9)
                       << m.inserted_arcs << std::setw(9) << m.deleted_arcs
                       << std::setw(9) << m.compactions << std::setw(6)
-                      << m.generation << std::setw(7) << m.incremental
-                      << std::setw(7) << m.full << std::setw(9)
-                      << std::fixed << std::setprecision(4)
-                      << m.dirty_fraction_total / batches << std::setw(9)
-                      << std::setprecision(3) << m.mutate_ms_total / batches
-                      << "\n";
+                      << m.generation << std::setw(9) << std::fixed
+                      << std::setprecision(4)
+                      << m.dirty_fraction_total / batches << std::setw(12)
+                      << std::setprecision(3)
+                      << m.quiesce_ms_total / batches << std::setw(9)
+                      << m.mutate_ms_total / batches << "\n";
         }
     }
     if (!plans.empty()) {

@@ -108,7 +108,7 @@ usage()
         << "                     apply a seeded mutation batch via\n"
         << "                     Server::mutate (inserts + an occasional\n"
         << "                     delete), exercising generation-tagged\n"
-        << "                     caching and incremental maintenance;\n"
+        << "                     caching and compaction;\n"
         << "                     closed-loop and chaos drivers only\n"
         << "                     (default 0)\n"
         << "  --plan-mix <frac>  fraction of request slots that also run a\n"
@@ -298,8 +298,7 @@ struct MutTarget
  * k's batch content is a pure function of (seed, k) — so the multiset
  * of applied batches is fixed regardless of how client threads
  * interleave.  Batches are mostly inserts of fresh random arcs plus an
- * occasional delete, which keeps the dirty fraction small enough that
- * maintenance stays incremental (the interesting regime for caching).
+ * occasional delete, which keeps the dirty fraction small.
  */
 class Mutator
 {
@@ -484,9 +483,7 @@ print_mutations(const Mutator& mutator, const ServerStats& stats)
               << " failed=" << mutator.failed() << " inserted_arcs="
               << stats.mutation_inserted_arcs << " deleted_arcs="
               << stats.mutation_deleted_arcs << " compactions="
-              << stats.compactions << " incremental="
-              << stats.dyn_incremental << " full=" << stats.dyn_full
-              << "\n";
+              << stats.compactions << "\n";
 }
 
 int
