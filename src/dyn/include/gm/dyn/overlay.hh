@@ -208,18 +208,14 @@ struct BatchEffect
 {
     /** Sorted unique vertices whose adjacency (out or in) changed. */
     std::vector<vid_t> dirty;
-    /** Effective logical edges, post-dedupe, in fold order (one entry per
-     *  logical edge even when two stored arcs changed). */
-    graph::EdgeList inserted;
-    graph::EdgeList deleted;
     eid_t inserted_arcs = 0;  ///< stored arcs that became live
     eid_t deleted_arcs = 0;   ///< stored arcs that died
     std::size_t requested = 0; ///< batch.size() as submitted
 
     bool changed() const { return inserted_arcs > 0 || deleted_arcs > 0; }
-    bool has_deletes() const { return deleted_arcs > 0; }
 
-    /** |dirty| / n — the incremental-vs-recompute policy input. */
+    /** |dirty| / n — reported per batch as MutationOutcome::dirty_fraction
+     *  and the gm_dyn_dirty_fraction gauge. */
     double
     dirty_fraction(vid_t n) const
     {

@@ -225,7 +225,6 @@ DynamicGraph::apply(const MutationBatch& batch)
         if (changed) {
             (insert ? effect.inserted_arcs : effect.deleted_arcs) +=
                 (!directed && u != v) ? 2 : 1;
-            (insert ? effect.inserted : effect.deleted).push_back({u, v});
             dirty.push_back(u);
             dirty.push_back(v);
         }

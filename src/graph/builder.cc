@@ -174,8 +174,8 @@ build_any(const std::vector<EdgeT>& edges, vid_t n, bool directed,
                             std::move(in.destinations));
 }
 
-} // namespace
-
+/** The deterministic per-edge weight used by add_weights(): uniform in
+ *  [1, 255], symmetric in (u, v), and independent of CSR layout. */
 weight_t
 pair_weight(vid_t u, vid_t v, std::uint64_t seed)
 {
@@ -184,6 +184,8 @@ pair_weight(vid_t u, vid_t v, std::uint64_t seed)
     SplitMix64 mix(seed ^ (a * 0x9e3779b97f4a7c15ULL + b + 0x100));
     return static_cast<weight_t>(mix.next() % 255 + 1);
 }
+
+} // namespace
 
 CSRGraph
 build_graph(const EdgeList& edges, vid_t num_vertices, bool directed,

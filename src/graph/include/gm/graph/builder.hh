@@ -66,14 +66,6 @@ support::StatusOr<WCSRGraph> try_build_wgraph(const WEdgeList& edges,
  */
 WCSRGraph add_weights(const CSRGraph& graph, std::uint64_t seed);
 
-/**
- * The deterministic per-edge weight used by add_weights(): uniform in
- * [1, 255], symmetric in (u, v), and independent of CSR layout.  Exposed so
- * layers that materialize weights lazily (e.g. the gm::dyn overlay's SSSP
- * maintenance) agree bit-for-bit with a store's weighted form.
- */
-weight_t pair_weight(vid_t u, vid_t v, std::uint64_t seed);
-
 /** Reverse every edge of a directed graph (no-op copy when undirected). */
 CSRGraph transpose(const CSRGraph& graph);
 

@@ -2,11 +2,9 @@
  * gm::dyn tests: overlay semantics, the rebuild-from-scratch oracle
  * (random batched insert/delete interleavings must compact to exactly the
  * CSR graph::build_graph would produce from the surviving edge set),
- * cross-width determinism of compaction and incremental maintenance at
- * lease widths {1, 2, 5, 8}, incremental-vs-full equivalence (CC/BFS/SSSP
- * bit-identical, delta PageRank within convergence epsilon), and the
- * store-side generation lifecycle (identity stability, retired-generation
- * byte accounting tied to outstanding views).
+ * cross-width determinism of compaction at lease widths {1, 2, 5, 8},
+ * and the store-side generation lifecycle (identity stability,
+ * retired-generation byte accounting tied to outstanding views).
  */
 #include <gtest/gtest.h>
 
@@ -18,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "gm/dyn/incremental.hh"
 #include "gm/dyn/overlay.hh"
 #include "gm/graph/builder.hh"
 #include "gm/graph/generators.hh"
@@ -251,151 +248,24 @@ expect_width_invariant(const std::function<std::uint64_t()>& compute)
     }
 }
 
-TEST(DynDeterminism, CompactionAndMaintenanceAreWidthInvariant)
+TEST(DynDeterminism, CompactionIsWidthInvariant)
 {
     for (auto& topo : topologies()) {
         const vid_t n = topo.graph.num_vertices();
         const auto run = [&]() -> std::uint64_t {
             auto store = make_store(topo.graph);
             DynamicGraph dg(store);
-            dyn::CCMaintainer cc;
-            dyn::PageRankMaintainer pr;
-            cc.rebuild(dg.view());
-            pr.rebuild(dg.view());
             support::Fnv1a h;
             for (int round = 0; round < 4; ++round) {
-                const auto effect =
-                    dg.apply(script_batch(n, round, 0x5eed, 12));
-                cc.update(dg.view(), effect.value());
-                pr.update(dg.view(), effect.value());
+                EXPECT_TRUE(dg.apply(script_batch(n, round, 0x5eed, 12))
+                                .status()
+                                .is_ok());
                 dg.compact();
                 h.update_value(structure_hash(store->base()));
             }
-            h.update_vector(cc.labels());
-            for (const score_t s : pr.scores())
-                h.update_value(s);
-            h.update_vector(dyn::bfs_depths(dg.view(), 0));
-            h.update_vector(dyn::sssp_dists(dg.view(), 0, 42));
             return h.digest();
         };
         expect_width_invariant(run);
-    }
-}
-
-TEST(DynIncremental, InsertOnlyRepairMatchesFullRecomputeBitwise)
-{
-    for (auto& topo : topologies()) {
-        const vid_t n = topo.graph.num_vertices();
-        auto store = make_store(topo.graph);
-        DynamicGraph dg(store);
-        const vid_t source = 1;
-        dyn::CCMaintainer cc;
-        dyn::BfsMaintainer bfs(source);
-        dyn::SsspMaintainer sssp(source, 42);
-        cc.rebuild(dg.view());
-        bfs.rebuild(dg.view());
-        sssp.rebuild(dg.view());
-
-        SplitMix64 mix(99);
-        for (int round = 0; round < 6; ++round) {
-            MutationBatch batch;
-            for (int i = 0; i < 10; ++i) {
-                batch.insert(static_cast<vid_t>(mix.next() % n),
-                             static_cast<vid_t>(mix.next() % n));
-            }
-            const auto effect = dg.apply(batch);
-            ASSERT_TRUE(effect.status().is_ok());
-            EXPECT_TRUE(cc.update(dg.view(), effect.value()));
-            EXPECT_TRUE(bfs.update(dg.view(), effect.value()));
-            EXPECT_TRUE(sssp.update(dg.view(), effect.value()));
-
-            EXPECT_EQ(cc.labels(), dyn::cc_labels(dg.view()))
-                << topo.name << " round " << round;
-            EXPECT_EQ(bfs.depths(), dyn::bfs_depths(dg.view(), source))
-                << topo.name << " round " << round;
-            EXPECT_EQ(sssp.dists(), dyn::sssp_dists(dg.view(), source, 42))
-                << topo.name << " round " << round;
-        }
-        EXPECT_EQ(cc.stats().incremental, 6u);
-        EXPECT_EQ(cc.stats().full, 0u);
-    }
-}
-
-TEST(DynIncremental, DeletesFallBackToFullAndStayCorrect)
-{
-    auto store = make_store(graph::make_uniform(9, 6, 21));
-    const vid_t n = store->base().num_vertices();
-    DynamicGraph dg(store);
-    const vid_t source = 1;
-    dyn::CCMaintainer cc;
-    dyn::BfsMaintainer bfs(source);
-    dyn::SsspMaintainer sssp(source, 42);
-    cc.rebuild(dg.view());
-    bfs.rebuild(dg.view());
-    sssp.rebuild(dg.view());
-
-    SplitMix64 mix(0xdead);
-    for (int round = 0; round < 4; ++round) {
-        // Half the rounds delete real edges so the fallback path fires.
-        MutationBatch batch;
-        for (int i = 0; i < 8; ++i) {
-            batch.insert(static_cast<vid_t>(mix.next() % n),
-                         static_cast<vid_t>(mix.next() % n));
-        }
-        if (round % 2 == 1) {
-            const GraphView view = dg.view();
-            for (int i = 0; i < 3; ++i) {
-                const vid_t u = static_cast<vid_t>(mix.next() % n);
-                view.for_out(u, [&](vid_t t) {
-                    if (batch.deletes.empty() || batch.deletes.back().u != u)
-                        batch.erase(u, t);
-                });
-            }
-        }
-        const auto effect = dg.apply(batch);
-        ASSERT_TRUE(effect.status().is_ok());
-        const bool had_deletes = effect.value().has_deletes();
-        const bool cc_inc = cc.update(dg.view(), effect.value());
-        bfs.update(dg.view(), effect.value());
-        sssp.update(dg.view(), effect.value());
-        if (had_deletes) {
-            EXPECT_FALSE(cc_inc);
-        }
-        EXPECT_EQ(cc.labels(), dyn::cc_labels(dg.view())) << round;
-        EXPECT_EQ(bfs.depths(), dyn::bfs_depths(dg.view(), source)) << round;
-        EXPECT_EQ(sssp.dists(), dyn::sssp_dists(dg.view(), source, 42))
-            << round;
-    }
-    EXPECT_GT(cc.stats().full, 0u);
-    EXPECT_GT(cc.stats().incremental, 0u);
-}
-
-TEST(DynIncremental, DeltaPageRankStaysWithinConvergenceEpsilon)
-{
-    for (auto& topo : topologies()) {
-        const vid_t n = topo.graph.num_vertices();
-        auto store = make_store(topo.graph);
-        DynamicGraph dg(store);
-        // These laptop-scale graphs have tiny decay horizons relative to
-        // their size, so the production policy would (correctly) fall
-        // back to full recompute; disable it to pin the incremental math.
-        dyn::PageRankMaintainer pr({}, {.full_threshold = 1.0});
-        pr.rebuild(dg.view());
-
-        for (int round = 0; round < 5; ++round) {
-            const auto effect = dg.apply(script_batch(n, round, 0xfeed, 12));
-            ASSERT_TRUE(effect.status().is_ok());
-            pr.update(dg.view(), effect.value());
-            const std::vector<score_t> full = dyn::pagerank(dg.view());
-            ASSERT_EQ(pr.scores().size(), full.size());
-            score_t max_diff = 0;
-            for (std::size_t i = 0; i < full.size(); ++i) {
-                max_diff = std::max(max_diff,
-                                    std::abs(pr.scores()[i] - full[i]));
-            }
-            EXPECT_LT(max_diff, 1e-6) << topo.name << " round " << round;
-        }
-        EXPECT_GT(pr.stats().incremental, 0u);
     }
 }
 

@@ -13,11 +13,10 @@
  *     diff det1.csv det8.csv
  *
  * --dyn appends rows for the dynamic-graph subsystem: a scripted
- * mutate/maintain/compact workload over gm::dyn, fingerprinting the
- * post-compaction CSR generations and the incrementally maintained
- * kernel results.  Those are deterministic across GM_THREADS too (serial
- * order-defined apply, independent-write parallel compaction), so the
- * same diff covers them.
+ * mutate/compact workload over gm::dyn, fingerprinting the final
+ * post-compaction CSR generation of each topology.  It is deterministic
+ * across GM_THREADS too (serial order-defined apply, independent-write
+ * parallel compaction), so the same diff covers it.
  *
  * --plan appends rows for the query-plan executor: a fixed set of
  * representative plans (a fused 70-source BFS batch crossing the 64-lane
@@ -36,7 +35,6 @@
 #include <vector>
 
 #include "gm/cli/argparse.hh"
-#include "gm/dyn/incremental.hh"
 #include "gm/dyn/overlay.hh"
 #include "gm/graph/generators.hh"
 #include "gm/harness/dataset.hh"
@@ -65,7 +63,7 @@ usage()
         << "  --kernels <csv>    kernels to run (default: all)\n"
         << "  --mode <name>      Baseline or Optimized (default Baseline)\n"
         << "  --dyn              also fingerprint the gm::dyn scripted\n"
-        << "                     mutation workload (generations + kernels)\n"
+        << "                     mutation workload (compacted generations)\n"
         << "  --plan             also fingerprint representative query\n"
         << "                     plans run through the serve executor\n"
         << "  -h, --help         this help\n";
@@ -136,17 +134,8 @@ structure_digest(const gm::graph::CSRGraph& g)
     return h.digest();
 }
 
-template <typename T>
-std::uint64_t
-vector_digest(const std::vector<T>& v)
-{
-    gm::support::Fnv1a h;
-    h.update_vector(v);
-    return h.digest();
-}
-
-/** Run the scripted dynamic workload and print one fingerprint row per
- *  artifact, in the static rows' CSV shape (framework column = "dyn"). */
+/** Run the scripted dynamic workload and print one structure row per
+ *  topology, in the static rows' CSV shape (framework column = "dyn"). */
 void
 run_dyn_rows(int scale)
 {
@@ -166,15 +155,6 @@ run_dyn_rows(int scale)
         auto store = std::make_shared<gm::store::GraphStore>(
             std::move(topo.g), kSeed);
         gm::dyn::DynamicGraph dg(store);
-        gm::dyn::CCMaintainer cc;
-        gm::dyn::BfsMaintainer bfs(0);
-        gm::dyn::SsspMaintainer sssp(0, kSeed);
-        gm::dyn::PageRankMaintainer pr;
-        gm::dyn::GraphView view = dg.view();
-        cc.rebuild(view);
-        bfs.rebuild(view);
-        sssp.rebuild(view);
-        pr.rebuild(view);
         for (int round = 0; round < kRounds; ++round) {
             const gm::dyn::MutationBatch batch = scripted_batch(
                 dg.view(), kSeed ^ (round * 0x9e3779b97f4a7c15ULL), 24);
@@ -182,24 +162,10 @@ run_dyn_rows(int scale)
             if (!effect.is_ok())
                 gm::fatal("detcheck --dyn: " +
                           effect.status().to_string());
-            view = dg.view();
-            cc.update(view, *effect);
-            bfs.update(view, *effect);
-            sssp.update(view, *effect);
-            pr.update(view, *effect);
             dg.compact();
-            view = dg.view();
         }
         std::cout << std::hex << "dyn,structure," << topo.name << ","
-                  << structure_digest(store->base()) << "\n"
-                  << "dyn,CC," << topo.name << ","
-                  << vector_digest(cc.labels()) << "\n"
-                  << "dyn,BFS," << topo.name << ","
-                  << vector_digest(bfs.depths()) << "\n"
-                  << "dyn,SSSP," << topo.name << ","
-                  << vector_digest(sssp.dists()) << "\n"
-                  << "dyn,PR," << topo.name << ","
-                  << vector_digest(pr.scores()) << std::dec << "\n";
+                  << structure_digest(store->base()) << std::dec << "\n";
     }
 }
 
