@@ -9,9 +9,9 @@
  * rows on the fly — and a compact() step folds the deltas into a fresh CSR
  * generation installed into the store (the old generation is retired and
  * stays byte-accounted until its last outstanding view drops).  compact()
- * is build() then install(): build() merges without touching the store, so
- * a caller can run it while kernels still read the current base and
- * quiesce them only around install().
+ * is build() then install(): build() merges without touching the store,
+ * and install() is the store's pointer swap, so both run while kernels
+ * read the generations they pinned.
  *
  * Determinism contract: apply() is a serial, order-defined fold of the
  * batch (inserts first, then deletes), so the resulting snapshot is a pure
@@ -239,10 +239,9 @@ struct Compaction
  * generations via build() + install().
  *
  * Thread safety: every member is individually locked.  apply() and
- * build() read only the pinned base and the overlay, never the store's
- * base reference, so they may run beside kernel execution; install()
- * swaps the store's base and assumes that execution is quiesced
- * (gm::serve holds the whole lane budget around it).  Mutation order
+ * build() read only the overlay's base and deltas; install() swaps the
+ * store's current generation, which readers holding a pinned generation
+ * never see.  All three may run beside kernel execution.  Mutation order
  * defines the result — there is no concurrent-writer merge.
  */
 class DynamicGraph

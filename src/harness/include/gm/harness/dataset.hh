@@ -9,9 +9,11 @@
  * starting the trial timer, so laziness never leaks into timings.
  *
  * Lifetime rule: references returned by the form accessors stay valid
- * until evict_derived() drops the store's cache.  Code that must hold a
- * form across eviction (or across datasets in a streaming sweep) should
- * take a shared_ptr from store() instead.
+ * until evict_derived() drops the store's cache, or, on a dataset whose
+ * store mutates, until the next generation installs — unless the dataset
+ * is a pinned() copy, which reads one generation for its whole life.
+ * Code that must hold a form across eviction (or across datasets in a
+ * streaming sweep) should take a shared_ptr from store() instead.
  */
 #pragma once
 
@@ -55,32 +57,58 @@ class Dataset
     const graph::CSRGraph&
     g() const
     {
-        GM_ASSERT(store_ != nullptr, "dataset has no graph store");
-        return store_->base();
+        return pinned_ != nullptr ? pinned_->base() : store()->base();
     }
 
     /** Weighted form for SSSP. */
-    const graph::WCSRGraph& wg() const { return *store()->weighted(); }
+    const graph::WCSRGraph& wg() const { return *generation()->weighted(); }
 
     /** Symmetrized form for TC (aliases g() when already undirected). */
     const graph::CSRGraph&
     g_undirected() const
     {
-        return *store()->undirected();
+        return *generation()->undirected();
     }
 
     /** Degree-relabeled undirected form; Optimized-mode TC may use it
      *  without paying the relabel cost (as the Galois team did). */
-    const graph::CSRGraph& g_relabeled() const { return *store()->relabeled(); }
+    const graph::CSRGraph&
+    g_relabeled() const
+    {
+        return *generation()->relabeled();
+    }
 
     /** GraphBLAS packaging (zero-copy adjacency views, no weights). */
-    const grb::lagraph::GrbGraph& grb() const { return *store()->grb(); }
+    const grb::lagraph::GrbGraph& grb() const { return *generation()->grb(); }
 
     /** GraphBLAS packaging with the weighted matrix attached (SSSP). */
     const grb::lagraph::GrbGraph&
     grb_weighted() const
     {
-        return *store()->grb_weighted();
+        return *generation()->grb_weighted();
+    }
+
+    /**
+     * A copy of this dataset that reads one generation — the store's
+     * current one — for as long as the copy lives, whatever mutations
+     * install meanwhile.  Its references stay valid for the copy's
+     * lifetime (eviction aside).  Pinning a pinned dataset keeps its
+     * generation.
+     */
+    Dataset
+    pinned() const
+    {
+        Dataset copy = *this;
+        copy.pinned_ = generation();
+        return copy;
+    }
+
+    /** The generation this dataset reads: the pinned one, or else the
+     *  store's current one. */
+    std::shared_ptr<const store::Generation>
+    generation() const
+    {
+        return pinned_ != nullptr ? pinned_ : store()->current();
     }
 
     /** The underlying artifact store (shared across Dataset copies). */
@@ -99,6 +127,8 @@ class Dataset
 
   private:
     std::shared_ptr<store::GraphStore> store_;
+    /** Set on pinned() copies: the one generation they read. */
+    std::shared_ptr<const store::Generation> pinned_;
 };
 
 /** The five-graph suite. */

@@ -131,9 +131,11 @@ ResultCache::lookup_or_join(const std::string& key,
     }
     ++counters_.misses;
     tm_->misses.inc();
-    auto [it, inserted] = inflight_.try_emplace(key);
-    if (inserted)
+    auto [it, inserted] = inflight_.try_emplace({key, generation});
+    if (inserted) {
         it->second = std::make_shared<Inflight>();
+        it->second->generation = generation;
+    }
     Lookup miss;
     miss.role = inserted ? Role::kLeader : Role::kFollower;
     miss.flight = it->second;
@@ -186,18 +188,24 @@ ResultCache::publish(const std::string& key,
         // Retire the in-flight slot so the next identical query becomes a
         // hit (on success) or a fresh leader (on failure) — never a
         // follower of a finished flight.
-        if (auto it = inflight_.find(key);
+        if (auto it = inflight_.find({key, flight->generation});
             it != inflight_.end() && it->second == flight)
             inflight_.erase(it);
 
-        if (status.is_ok() && value != nullptr && !drop_insert) {
+        // A leader pinned to an older generation must not displace the
+        // answer for a newer one.
+        const auto cached = entries_.find(key);
+        const bool superseded = cached != entries_.end() &&
+                                cached->second.generation > generation;
+        if (status.is_ok() && value != nullptr && !drop_insert &&
+            !superseded) {
             const std::size_t bytes = result_bytes(*value) + key.size();
             if (bytes <= capacity_bytes_) {
                 // Replace an existing (possibly expired) entry in place.
-                if (auto it = entries_.find(key); it != entries_.end()) {
-                    bytes_ -= it->second.bytes;
-                    lru_.erase(it->second.lru_it);
-                    entries_.erase(it);
+                if (cached != entries_.end()) {
+                    bytes_ -= cached->second.bytes;
+                    lru_.erase(cached->second.lru_it);
+                    entries_.erase(cached);
                 }
                 while (bytes_ + bytes > capacity_bytes_ && !lru_.empty()) {
                     const std::string& victim = lru_.back();

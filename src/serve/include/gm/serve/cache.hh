@@ -29,13 +29,17 @@
  *
  * Entries are additionally tagged with the data generation they were
  * computed against (gm::dyn mutations bump the store generation).  A
- * lookup passes the generation it wants; an entry from an older
+ * lookup passes the generation it wants; an entry from another
  * generation is not a hit — it behaves exactly like a TTL expiry
  * (counted as stale_generation_misses, kept for peek()) so a mutated
  * graph invalidates its cached answers without any explicit flush, while
  * allow_stale callers can still be served the pre-mutation answer,
- * marked degraded.  Callers that never mutate pass the default 0
- * everywhere and see the old behavior unchanged.
+ * marked degraded.  Single-flight slots are per (key, generation): a
+ * reader pinned to one generation joins only an execution against that
+ * same generation, never another generation's answer.  A leader that
+ * finishes after a newer generation's entry landed leaves that entry in
+ * place.  Callers that never mutate pass the default 0 everywhere and
+ * see the old behavior unchanged.
  *
  * The "serve.cache.insert" fault site is polled inside publish() before
  * insertion: an injected error drops the insertion (the flight still
@@ -48,10 +52,12 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "gm/serve/request.hh"
 #include "gm/support/clock.hh"
@@ -93,7 +99,8 @@ class ResultCache
         support::Status status;
         std::shared_ptr<const ResultValue> value;
         std::uint64_t fingerprint = 0;
-        /** Data generation the leader executed against. */
+        /** Data generation the leader executes against: the one its
+         *  lookup asked for.  Set before the flight is shared. */
         std::uint64_t generation = 0;
     };
 
@@ -158,7 +165,8 @@ class ResultCache
 
     /** Resolve @p key against data generation @p generation; see the
      *  role taxonomy above.  An entry from another generation is treated
-     *  like a TTL expiry: not a hit, but kept for peek(). */
+     *  like a TTL expiry: not a hit, but kept for peek().  A follower
+     *  joins only a flight at the same generation. */
     Lookup lookup_or_join(const std::string& key,
                           std::uint64_t generation = 0);
 
@@ -180,11 +188,12 @@ class ResultCache
 
     /**
      * Leader-only: record the execution outcome for @p key, insert the
-     * result (tagged with the @p generation it was computed against) when
-     * @p status is ok, retire the in-flight slot, and wake every
-     * follower.  Must be called exactly once per kLeader lookup, on every
-     * path out of the execution (including failure) — a leader that skips
-     * publish() would strand its followers.
+     * result (tagged with the @p generation it was computed against —
+     * the one its lookup asked for) when @p status is ok and no newer
+     * generation's entry is cached, retire the in-flight slot, and wake
+     * every follower.  Must be called exactly once per kLeader lookup,
+     * on every path out of the execution (including failure) — a leader
+     * that skips publish() would strand its followers.
      */
     void publish(const std::string& key,
                  const std::shared_ptr<Inflight>& flight,
@@ -230,7 +239,10 @@ class ResultCache
     std::size_t bytes_ = 0;
     std::list<std::string> lru_; ///< front = most recently used
     std::unordered_map<std::string, Entry> entries_;
-    std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
+    /** In-flight executions by (key, generation). */
+    std::map<std::pair<std::string, std::uint64_t>,
+             std::shared_ptr<Inflight>>
+        inflight_;
     Stats counters_;
 };
 

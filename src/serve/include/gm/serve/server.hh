@@ -162,10 +162,7 @@ struct MutationOutcome
      *  both sides of a comparison build unchanged (BENCHMARK.json). */
     bool cc_incremental = false;
     bool pr_incremental = false;
-    double mutate_seconds = 0;   ///< whole-call wall time, quiesce included
-    /** Time blocked taking the lane budget to install the compacted
-     *  generation; 0 when the batch did not compact. */
-    double quiesce_seconds = 0;
+    double mutate_seconds = 0;   ///< whole-call wall time
 };
 
 /**
@@ -229,11 +226,9 @@ struct PlanResult
     int shared = 0;         ///< nodes joined from another plan's flight
     int fused_sweeps = 0;   ///< bit-parallel multi-source sweeps run
     int sources_fused = 0;  ///< sources covered by those sweeps
-    /** Oldest data generation contributing to any node's answer.  When
-     *  no mutate() lands mid-plan (the common case) every node shares
-     *  it; a node whose inputs predate a concurrent compaction is tagged
-     *  with (and propagates) the inputs' generation, so this reports the
-     *  staleness bound of the whole answer set. */
+    /** The data generation the plan pinned at submit: every node's
+     *  answer — hit, join, or execution — is from this one generation,
+     *  whatever mutate() installs while the plan runs. */
     std::uint64_t generation = 0;
 };
 
@@ -394,16 +389,17 @@ class Server
     /**
      * Apply one batch of edge mutations to @p graph between queries.
      * Applies the batch to the graph's gm::dyn overlay and, per
-     * dyn_compact_every, builds the merged CSR — both beside running
-     * queries, which never read the overlay.  Only installing that CSR
-     * as the store's next generation is exclusive: it blocks until every
-     * executing leader finishes and holds the entire lane budget just
-     * for the swap.  A batch that does not compact takes no lanes and
-     * stays invisible to queries until a later compaction.  Afterwards
-     * cached answers from older generations stop being fresh hits (they
-     * remain allow_stale fodder, served as degraded) and the next fresh
-     * query recomputes against the new generation.  Mutations are
-     * serialized by dyn_mu_, which is always taken before the lane gate.
+     * dyn_compact_every, builds the merged CSR and installs it as the
+     * store's next generation — all beside running queries, which never
+     * read the overlay.  The install is a pointer swap: every reader
+     * pinned its generation when it started (a query's leader at
+     * dequeue, a plan at submit) and keeps reading it, so mutate()
+     * waits for no reader and takes no lanes.  A batch that does not
+     * compact stays invisible to queries until a later compaction.
+     * Afterwards cached answers from older generations stop being fresh
+     * hits (they remain allow_stale fodder, served as degraded) and the
+     * next fresh query recomputes against the new generation.
+     * Mutations are serialized by dyn_mu_.
      *
      * Returns kInvalidInput for an unknown graph or an out-of-range
      * endpoint (the batch is rejected whole — nothing applied),
@@ -418,7 +414,9 @@ class Server
      * Validate and launch @p request's plan.  Returns kInvalidInput for
      * an unknown framework/graph, a malformed DAG, or an out-of-range
      * source, and kResourceExhausted after shutdown(); otherwise the
-     * plan runs asynchronously on its own driver thread: each wave of
+     * plan pins the graph's current generation — every node reads it,
+     * and the pin drops when the plan settles — and runs asynchronously
+     * on its own driver thread: each wave of
      * ready nodes executes concurrently, traversal nodes acquire their
      * width from the same lane budget single-kernel queries use, and
      * every node value is published to the ResultCache keyed by
@@ -477,9 +475,6 @@ class Server
     bool acquire_lanes(const std::function<bool()>& stopped,
                        std::int64_t deadline_ns, int width);
     void release_lanes(int width);
-    /** Quiesce kernel execution: block until no leader holds lanes, then
-     *  charge the entire budget (mutations run exclusively). */
-    void acquire_all_lanes();
     /** {"kind":"serve.mutation"} JSONL record for one applied batch. */
     void write_mutation_record(const std::string& graph,
                                const MutationOutcome& outcome);
@@ -582,9 +577,8 @@ class Server
     std::mutex metrics_mu_; ///< serializes JSONL appends across workers
 
     /** Per-graph dynamic overlays, created lazily on first mutate().
-     *  dyn_mu_ serializes mutations and is taken before the lane gate;
-     *  readers never take it (they go through the store, quiesced by the
-     *  lane budget around each install). */
+     *  dyn_mu_ serializes mutations; readers never take it (each reads
+     *  the store generation it pinned). */
     std::mutex dyn_mu_;
     std::unordered_map<std::string, std::unique_ptr<detail::DynState>>
         dyn_;

@@ -2,12 +2,13 @@
  * @file
  * Server::submit_plan — the serve-side executor for gm::plan DAGs.
  *
- * Each accepted plan gets a driver thread that walks the plan's
- * topological waves; nodes within a wave run concurrently, one thread
- * each.  Every node is served through the same ResultCache the query
- * path uses, keyed by (structural sub-plan fingerprint, graph
- * generation): a node whose sub-plan was computed before is a cache hit,
- * a node whose sub-plan is computing right now — in this plan or any
+ * Each accepted plan pins the graph's current generation at submit and
+ * gets a driver thread that walks the plan's topological waves; nodes
+ * within a wave run concurrently, one thread each.  Every node is served
+ * through the same ResultCache the query path uses, keyed by (structural
+ * sub-plan fingerprint, the plan's generation): a node whose sub-plan
+ * was computed at that generation before is a cache hit, a node whose
+ * sub-plan is computing at it right now — in this plan or any
  * concurrently submitted one — joins that flight as a follower, and
  * otherwise the node leads, charging its width against the server's lane
  * budget before executing.  The net effect is the exactly-once
@@ -47,8 +48,7 @@ namespace
 {
 
 /** Traversal nodes parallelize and get the plan's width; aggregations
- *  are cheap serial folds and charge a single lane (still nonzero, so a
- *  concurrent mutate() cannot move the generation under them). */
+ *  are cheap serial folds and charge a single lane. */
 int
 node_width(const plan::Node& node, int plan_width)
 {
@@ -125,9 +125,11 @@ Server::submit_plan(PlanRequest request)
     const Status valid = request.plan.validate();
     if (!valid.is_ok())
         return valid;
-    // Source bounds depend on the graph, which validate() cannot know;
-    // checked here so a bad plan fails at submit, not mid-execution.
-    const vid_t n = ds->g().num_vertices();
+    // The plan reads one generation, pinned here.  Source bounds depend
+    // on the graph, which validate() cannot know; checked against the
+    // pin so a bad plan fails at submit, not mid-execution.
+    auto pinned = std::make_shared<const harness::Dataset>(ds->pinned());
+    const vid_t n = pinned->g().num_vertices();
     for (const plan::Node& node : request.plan.nodes()) {
         for (const vid_t s : node.sources) {
             if (s < 0 || s >= n)
@@ -144,7 +146,8 @@ Server::submit_plan(PlanRequest request)
         state->req.trace_id = mint_trace_id();
     state->req.width = std::clamp(state->req.width, 1, lane_budget_);
     state->fw = fw;
-    state->ds = std::move(ds);
+    state->generation = pinned->generation()->id();
+    state->ds = std::move(pinned);
     state->gate = lane_gate_;
     state->submit_ns = Timer::now_ns();
     const int size = state->req.plan.size();
@@ -153,7 +156,6 @@ Server::submit_plan(PlanRequest request)
         state->node_tokens.push_back(
             std::make_shared<support::CancelToken>());
     state->node_results.resize(static_cast<std::size_t>(size));
-    state->node_generations.assign(static_cast<std::size_t>(size), 0);
 
     {
         // plan_mu_ spans the shutdown check AND the runner insertion so
@@ -240,6 +242,9 @@ Server::plan_driver(const std::shared_ptr<PlanState>& state)
     if (status.is_ok() && state->token->requested())
         status =
             Status(StatusCode::kCancelled, "plan cancelled by caller");
+    // Every node has settled: drop the pin, so a finished plan waiting to
+    // be reaped holds no retired generation.
+    state->ds.reset();
     // Nodes never reached (waves after a failure or cancel) are marked
     // explicitly so callers can tell "skipped" from "succeeded": a node
     // that ran always carries a value or a non-ok status.
@@ -251,6 +256,7 @@ Server::plan_driver(const std::shared_ptr<PlanState>& state)
 
     PlanResult result;
     result.trace_id = state->req.trace_id;
+    result.generation = state->generation;
     for (int id = 0; id < plan.size(); ++id) {
         const PlanNodeResult& node =
             state->node_results[static_cast<std::size_t>(id)];
@@ -260,13 +266,6 @@ Server::plan_driver(const std::shared_ptr<PlanState>& state)
         result.executed += ran ? 1 : 0;
         result.cache_hits += node.cache_hit ? 1 : 0;
         result.shared += node.shared_execution ? 1 : 0;
-        if (node.status.is_ok() && node.value != nullptr) {
-            const std::uint64_t gen =
-                state->node_generations[static_cast<std::size_t>(id)];
-            result.generation = result.generation == 0
-                                    ? gen
-                                    : std::min(result.generation, gen);
-        }
         if (ran && node.status.is_ok()) {
             int sweeps = 0;
             int sources = 0;
@@ -333,7 +332,6 @@ Server::plan_run_node(PlanState& state, int id)
     // cached payloads feed the executor without a copy.
     std::vector<const plan::Value*> inputs;
     inputs.reserve(node.inputs.size());
-    std::uint64_t input_generation = 0; // 0 = leaf node (no inputs)
     for (const int input : node.inputs) {
         const PlanNodeResult& upstream =
             state.node_results[static_cast<std::size_t>(input)];
@@ -344,24 +342,16 @@ Server::plan_run_node(PlanState& state, int id)
             return;
         }
         inputs.push_back(upstream.value.get());
-        const std::uint64_t gen =
-            state.node_generations[static_cast<std::size_t>(input)];
-        input_generation = input_generation == 0
-                               ? gen
-                               : std::min(input_generation, gen);
     }
 
     const std::string key =
         make_plan_node_key(state, plan.fingerprint(id));
-    ResultCache::Lookup lookup =
-        cache_.lookup_or_join(key, state.ds->store()->generation());
+    ResultCache::Lookup lookup = cache_.lookup_or_join(key, state.generation);
     switch (lookup.role) {
       case ResultCache::Role::kHit: {
           out.value = std::move(lookup.value);
           out.fingerprint = lookup.fingerprint;
           out.cache_hit = true;
-          state.node_generations[static_cast<std::size_t>(id)] =
-              lookup.generation;
           return;
       }
       case ResultCache::Role::kFollower: {
@@ -381,8 +371,6 @@ Server::plan_run_node(PlanState& state, int id)
               out.value = flight.value;
               out.fingerprint = flight.fingerprint;
               out.shared_execution = true;
-              state.node_generations[static_cast<std::size_t>(id)] =
-                  flight.generation;
           }
           return;
       }
@@ -390,17 +378,16 @@ Server::plan_run_node(PlanState& state, int id)
         break;
     }
 
-    // Leader: charge this node's lanes, pin the generation, execute,
-    // publish.  publish() runs on every path out of this block — a
-    // leader that never publishes would hang its followers.
+    // Leader: charge this node's lanes, execute on the plan's pinned
+    // generation, publish.  publish() runs on every path out of this
+    // block — a leader that never publishes would hang its followers.
     const int width = node_width(node, state.req.width);
     if (!acquire_lanes(stopped, deadline_ns, width)) {
         out.status = classify_node_cancel(state, deadline_ns);
-        cache_.publish(key, lookup.flight, out.status, nullptr, 0, 0);
+        cache_.publish(key, lookup.flight, out.status, nullptr, 0,
+                       state.generation);
         return;
     }
-    const std::uint64_t exec_generation =
-        state.ds->store()->generation();
     Status status;
     std::shared_ptr<const ResultValue> value;
     std::uint64_t fingerprint = 0;
@@ -426,15 +413,8 @@ Server::plan_run_node(PlanState& state, int id)
     }
     if (status.code() == StatusCode::kTimeout)
         status = classify_node_cancel(state, deadline_ns);
-    // An answer derived from pre-compaction inputs is tagged with the
-    // inputs' generation: the entry stops being a fresh hit once the
-    // store moves on, exactly like a pre-mutation query entry.
-    const std::uint64_t generation =
-        input_generation == 0
-            ? exec_generation
-            : std::min(exec_generation, input_generation);
     cache_.publish(key, lookup.flight, status, value, fingerprint,
-                   generation);
+                   state.generation);
     const std::int64_t exec_ns = Timer::now_ns() - exec_begin;
     release_lanes(width);
     out.status = status;
@@ -443,7 +423,6 @@ Server::plan_run_node(PlanState& state, int id)
     if (status.is_ok()) {
         out.value = std::move(value);
         out.fingerprint = fingerprint;
-        state.node_generations[static_cast<std::size_t>(id)] = generation;
     }
     tm_->plan_node_execute_ns->record(
         static_cast<std::uint64_t>(std::max<std::int64_t>(0, exec_ns)));

@@ -134,7 +134,6 @@ struct ServeTelemetry
     telemetry::Gauge* dyn_overlay_bytes = nullptr;
     telemetry::Histogram* dyn_batch_edges = nullptr;
     telemetry::Histogram* dyn_mutate_ns = nullptr;
-    telemetry::Histogram* dyn_quiesce_ns = nullptr; ///< compacting batches
     telemetry::Counter* plans_submitted = nullptr;
     telemetry::Counter* plans_completed = nullptr;
     telemetry::Counter* plans_failed = nullptr;
@@ -218,7 +217,6 @@ struct ServeTelemetry
         dyn_overlay_bytes = &reg.gauge("gm_dyn_overlay_bytes");
         dyn_batch_edges = &reg.histogram("gm_dyn_batch_edges");
         dyn_mutate_ns = &reg.histogram("gm_dyn_mutate_ns");
-        dyn_quiesce_ns = &reg.histogram("gm_dyn_quiesce_ns");
         plans_submitted = &reg.counter("gm_plan_submitted_total");
         plans_completed = &reg.counter("gm_plan_completed_total");
         plans_failed = &reg.counter("gm_plan_failed_total");
@@ -312,7 +310,10 @@ struct PlanState
 {
     PlanRequest req;
     const harness::Framework* fw = nullptr;
+    /** The graph, pinned() at submit: every node reads this generation.
+     *  Reset when the plan settles, so a finished plan pins nothing. */
     std::shared_ptr<const harness::Dataset> ds;
+    std::uint64_t generation = 0; ///< id of the generation ds pins
     /** Plan-wide cancel: PlanHandle::cancel() raises it; every node
      *  token mirrors it so executing kernels unwind cooperatively. */
     std::shared_ptr<support::CancelToken> token =
@@ -329,8 +330,6 @@ struct PlanState
      *  exactly one node thread and read by the driver only after that
      *  thread joined — no lock needed. */
     std::vector<PlanNodeResult> node_results;
-    /** Per-node data generations (same access discipline). */
-    std::vector<std::uint64_t> node_generations;
 
     std::mutex mu;
     std::condition_variable cv;

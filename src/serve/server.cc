@@ -112,12 +112,11 @@ make_cell_key(const Request& req, const harness::Framework& fw)
            "/" + req.graph;
 }
 
-/** Run the kernel for @p state on the calling thread. */
+/** Run the kernel for @p state on @p ds, on the calling thread. */
 ResultValue
-execute_kernel(const RequestState& state)
+execute_kernel(const RequestState& state, const harness::Dataset& ds)
 {
     const harness::Framework& fw = *state.fw;
-    const harness::Dataset& ds = *state.ds;
     const Request& req = state.req;
     switch (req.kernel) {
       case harness::Kernel::kBFS:
@@ -301,8 +300,13 @@ Server::submit(Request request)
         return Status(StatusCode::kInvalidInput,
                       "unknown graph: " + request.graph);
 
+    // The generation current at submit: the bound for the source and
+    // the generation a fresh inline hit must match.
+    const std::shared_ptr<const store::Generation> generation =
+        ds->store()->current();
     if (kernel_uses_source(request.kernel) &&
-        (request.source < 0 || request.source >= ds->g().num_vertices()))
+        (request.source < 0 ||
+         request.source >= generation->base().num_vertices()))
         return Status(StatusCode::kInvalidInput,
                       "source " + std::to_string(request.source) +
                           " out of range for graph " + request.graph);
@@ -372,8 +376,8 @@ Server::submit(Request request)
     // worker, lane, or breaker probe.  Misses, stale entries, and
     // followers of an in-flight leader go through admission below.
     if (!shutdown_) {
-        const ResultCache::Cached hit = cache_.lookup_fresh(
-            state->cache_key, ds->store()->generation());
+        const ResultCache::Cached hit =
+            cache_.lookup_fresh(state->cache_key, generation->id());
         if (hit.value != nullptr)
             return answered(answer_hit_inline(*state, hit));
     }
@@ -511,10 +515,7 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
     outcome.requested = batch.size();
     std::uint64_t generation_peak = 0;
     double overlay_bytes = 0;
-    std::int64_t quiesce_ns = 0;
     {
-        // Lock order: dyn_mu_, then the lane gate.  Leaders never take
-        // dyn_mu_, so waiting for them here cannot deadlock.
         std::lock_guard<std::mutex> lock(dyn_mu_);
         auto it = dyn_.find(graph);
         if (it == dyn_.end())
@@ -522,8 +523,8 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
                                          ds->store()))
                      .first;
         detail::DynState& st = *it->second;
-        // Apply and build read only the pinned base and the overlay,
-        // which no leader reads, so they run beside kernel execution.
+        // Apply and build read only the overlay's base and deltas; no
+        // reader sees either until the install.
         auto effect_or = st.graph.apply(batch);
         if (!effect_or.is_ok())
             return effect_or.status();
@@ -544,9 +545,8 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
         if (compact)
             built = st.graph.build();
 
-        // Chaos site: a delay fault stretches the part of the mutation
-        // that runs beside queries; an error fault fails the call
-        // before the install.
+        // Chaos site: a delay fault stretches the mutation; an error
+        // fault fails the call before the install.
         try {
             support::FaultInjector::global().at("serve.mutate");
         } catch (const support::FaultInjectedError&) {
@@ -555,13 +555,9 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
         }
 
         if (compact) {
-            // Exclusive with kernel execution only for the swap: leaders
-            // read the store's base by plain reference.
-            const std::int64_t quiesce_begin = Timer::now_ns();
-            acquire_all_lanes();
-            quiesce_ns = Timer::now_ns() - quiesce_begin;
+            // A pointer swap: running readers keep the generation they
+            // pinned, and the next pin reads this one.
             outcome.generation = st.graph.install(std::move(built));
-            release_lanes(lane_budget_);
             outcome.compacted = true;
         } else {
             outcome.generation = ds->store()->generation();
@@ -575,7 +571,6 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
     const std::int64_t elapsed_ns =
         std::max<std::int64_t>(0, Timer::now_ns() - begin_ns);
     outcome.mutate_seconds = static_cast<double>(elapsed_ns) * 1e-9;
-    outcome.quiesce_seconds = static_cast<double>(quiesce_ns) * 1e-9;
     tm_->dyn_batches->inc();
     tm_->dyn_batch_edges->record(
         static_cast<std::uint64_t>(outcome.requested));
@@ -583,10 +578,8 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
         static_cast<std::uint64_t>(outcome.inserted_arcs));
     tm_->dyn_deleted_arcs->inc(
         static_cast<std::uint64_t>(outcome.deleted_arcs));
-    if (outcome.compacted) {
+    if (outcome.compacted)
         tm_->dyn_compactions->inc();
-        tm_->dyn_quiesce_ns->record(static_cast<std::uint64_t>(quiesce_ns));
-    }
     tm_->dyn_generation->set(static_cast<double>(generation_peak));
     tm_->dyn_dirty_fraction->set(outcome.dirty_fraction);
     tm_->dyn_overlay_bytes->set(overlay_bytes);
@@ -674,17 +667,18 @@ Server::process(const std::shared_ptr<RequestState>& state)
     obs::TraceSession session;
     session.start_detached();
     Status status;
-    bool executed = false;
     {
         obs::SessionBinding binding(session.gen());
         stamp_request_session(*state, dequeue_ns);
 
-        // The generation the caller wants: whatever the store serves
-        // right now.  A mutate() landing after this read is harmless —
-        // the entry (or execution) reflects a coherent snapshot either
-        // way; the next lookup sees the new generation.
-        ResultCache::Lookup lookup = cache_.lookup_or_join(
-            state->cache_key, state->ds->store()->generation());
+        // Pin the current generation: the lookup, a join, and a leader's
+        // execution, fingerprint and publish all read this one graph,
+        // whatever mutate() installs meanwhile.  The pin drops when this
+        // block ends, before the request completes.
+        const harness::Dataset ds = state->ds->pinned();
+        const std::uint64_t generation = ds.generation()->id();
+        ResultCache::Lookup lookup =
+            cache_.lookup_or_join(state->cache_key, generation);
         switch (lookup.role) {
           case ResultCache::Role::kHit:
               // An entry published between submit() and this dequeue.
@@ -717,14 +711,9 @@ Server::process(const std::shared_ptr<RequestState>& state)
                   // Wake followers: their leader never ran ("abandoned"
                   // at wait_for_leader, so they retry cleanly).
                   cache_.publish(state->cache_key, lookup.flight, status,
-                                 nullptr, 0, 0);
+                                 nullptr, 0, generation);
                   break;
               }
-              // Pinned while lanes are held: mutate() needs the whole
-              // budget, so the generation cannot move under execution.
-              const std::uint64_t exec_generation =
-                  state->ds->store()->generation();
-              executed = true;
               tm_->executions->inc();
               const std::int64_t exec_begin = Timer::now_ns();
               std::shared_ptr<const ResultValue> value;
@@ -744,7 +733,7 @@ Server::process(const std::shared_ptr<RequestState>& state)
                   obs::ScopedSpan span("serve.execute");
                   support::FaultInjector::global().at("serve.execute");
                   support::check_cancelled();
-                  ResultValue v = execute_kernel(*state);
+                  ResultValue v = execute_kernel(*state, ds);
                   fingerprint = result_fingerprint(v);
                   value = std::make_shared<const ResultValue>(std::move(v));
               } catch (...) {
@@ -756,11 +745,11 @@ Server::process(const std::shared_ptr<RequestState>& state)
                   status = classify_cancel(*state);
               record_cell_outcome(*state, status, /*executed=*/true);
               cache_.publish(state->cache_key, lookup.flight, status,
-                             value, fingerprint, exec_generation);
+                             value, fingerprint, generation);
               if (status.is_ok()) {
                   result.value = std::move(value);
                   result.fingerprint = fingerprint;
-                  result.generation = exec_generation;
+                  result.generation = generation;
               }
               const std::int64_t exec_ns = Timer::now_ns() - exec_begin;
               result.execute_seconds =
@@ -780,7 +769,6 @@ Server::process(const std::shared_ptr<RequestState>& state)
           }
         }
     }
-    (void)executed;
     session.stop();
     if (result.lanes > 0 && result.execute_seconds > 0) {
         // Lane busy time over lanes x wall: 1.0 means every granted lane
@@ -842,20 +830,6 @@ Server::release_lanes(int width)
         tm_->lanes_in_use->set(gate.in_use);
     }
     gate.cv.notify_all();
-}
-
-void
-Server::acquire_all_lanes()
-{
-    // Budget holders are executing leaders, which always finish, so the
-    // wait terminates; once the full budget is charged, no leader can
-    // start executing until the mutation releases it.  Cache hits and
-    // followers never touch the budget and keep being served.
-    detail::LaneGate& gate = *lane_gate_;
-    std::unique_lock<std::mutex> lock(gate.mu);
-    gate.cv.wait(lock, [&gate] { return gate.in_use == 0; });
-    gate.in_use = lane_budget_;
-    tm_->lanes_in_use->set(gate.in_use);
 }
 
 Status
@@ -1126,8 +1100,6 @@ Server::write_mutation_record(const std::string& graph,
          << ",\"compacted\":" << (outcome.compacted ? 1 : 0)
          << ",\"generation\":" << outcome.generation << ",\"mutate_ms\":"
          << support::json_double(outcome.mutate_seconds * 1e3)
-         << ",\"quiesce_ms\":"
-         << support::json_double(outcome.quiesce_seconds * 1e3)
          << ",\"t_ns\":" << Timer::now_ns() << "}";
     append_line(options_.metrics_path, line.str());
 }

@@ -1,13 +1,77 @@
 #include "gm/store/graph_store.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "gm/graph/builder.hh"
 #include "gm/support/hash.hh"
+#include "gm/support/log.hh"
 #include "gm/support/timer.hh"
 
 namespace gm::store
 {
+
+namespace detail
+{
+
+/**
+ * Accounting shared by a store and every generation it created.  Its
+ * mutex guards everything here, every generation's slot fields, and the
+ * store's current pointer, so a build in a retired generation and an
+ * install update one high-water mark.
+ */
+struct Ledger
+{
+    /** A retired generation: its base counts while anything pins the
+     *  base CSR, its derived forms while anything pins the generation. */
+    struct Retired
+    {
+        std::weak_ptr<const graph::CSRGraph> base;
+        std::size_t base_bytes = 0;
+        std::weak_ptr<const Generation> generation;
+    };
+
+    std::mutex mu;
+    /** The store's current generation; null once the store is gone. */
+    const Generation* current = nullptr;
+    std::size_t overlay_bytes = 0;
+    std::size_t high_water = 0;
+    std::vector<Retired> retired;
+
+    /** Bytes of the retired generations still held; drops rows whose
+     *  base is gone (a live generation always holds its base). */
+    std::size_t
+    retired_bytes_locked()
+    {
+        std::erase_if(retired,
+                      [](const Retired& row) { return row.base.expired(); });
+        std::size_t total = 0;
+        for (const Retired& row : retired) {
+            total += row.base_bytes;
+            if (const auto gen = row.generation.lock())
+                total += gen->derived_bytes_locked();
+        }
+        return total;
+    }
+
+    std::size_t
+    resident_locked()
+    {
+        std::size_t total = overlay_bytes + retired_bytes_locked();
+        if (current != nullptr)
+            total += current->base().bytes_resident() +
+                     current->derived_bytes_locked();
+        return total;
+    }
+
+    void
+    update_high_water_locked()
+    {
+        high_water = std::max(high_water, resident_locked());
+    }
+};
+
+} // namespace detail
 
 namespace
 {
@@ -42,35 +106,51 @@ owned_bytes(const grb::lagraph::GrbGraph& gg)
     return gg.bytes_owned();
 }
 
+template <typename Slot>
+ArtifactInfo
+info(const char* name, const Slot& slot)
+{
+    ArtifactInfo row;
+    row.name = name;
+    row.resident = slot.value != nullptr;
+    row.bytes = slot.bytes;
+    row.build_seconds = slot.build_seconds;
+    row.builds = slot.builds;
+    return row;
+}
+
 } // namespace
 
-GraphStore::GraphStore(graph::CSRGraph base, std::uint64_t weight_seed)
-    : base_(std::make_shared<const graph::CSRGraph>(std::move(base))),
-      weight_seed_(weight_seed)
+Generation::Generation(std::shared_ptr<const graph::CSRGraph> base,
+                       std::uint64_t weight_seed, std::uint64_t id,
+                       std::shared_ptr<detail::Ledger> ledger)
+    : base_(std::move(base)),
+      weight_seed_(weight_seed),
+      id_(id),
+      ledger_(std::move(ledger))
 {
-    high_water_bytes_ = base_->bytes_resident();
 }
 
 /**
- * Memoized acquisition: fast path under the state lock, then the slot's
+ * Memoized acquisition: fast path under the ledger lock, then the slot's
  * build mutex serializes the (potentially expensive) build so it happens
  * exactly once per residency.  Builders may acquire *other* slots through
  * the public getters — the dependency graph (grb_weighted -> weighted,
  * relabeled -> undirected) is acyclic, and no build lock is held while
- * taking the state lock the dependency needs.
+ * taking the ledger lock the dependency needs.
  */
 template <typename T, typename Build>
 std::shared_ptr<const T>
-GraphStore::acquire(Slot<T>& slot, Build&& build) const
+Generation::acquire(Slot<T>& slot, Build&& build) const
 {
     {
-        std::lock_guard<std::mutex> lock(state_mu_);
+        std::lock_guard<std::mutex> lock(ledger_->mu);
         if (slot.value)
             return slot.value;
     }
     std::lock_guard<std::mutex> build_lock(slot.build_mu);
     {
-        std::lock_guard<std::mutex> lock(state_mu_);
+        std::lock_guard<std::mutex> lock(ledger_->mu);
         if (slot.value) // built while we waited for the build lock
             return slot.value;
     }
@@ -80,25 +160,25 @@ GraphStore::acquire(Slot<T>& slot, Build&& build) const
     timer.stop();
     const std::size_t bytes = owned_bytes(*built);
     {
-        std::lock_guard<std::mutex> lock(state_mu_);
+        std::lock_guard<std::mutex> lock(ledger_->mu);
         slot.value = built;
         slot.bytes = bytes;
         slot.build_seconds = timer.seconds();
         ++slot.builds;
-        update_high_water();
+        ledger_->update_high_water_locked();
     }
     return built;
 }
 
 std::shared_ptr<const graph::WCSRGraph>
-GraphStore::weighted() const
+Generation::weighted() const
 {
     return acquire(weighted_,
                    [&] { return graph::add_weights(*base_, weight_seed_); });
 }
 
 std::shared_ptr<const graph::CSRGraph>
-GraphStore::undirected() const
+Generation::undirected() const
 {
     if (!base_->is_directed())
         return base_; // alias: undirected graphs are their own symmetrization
@@ -106,7 +186,7 @@ GraphStore::undirected() const
 }
 
 std::shared_ptr<const graph::CSRGraph>
-GraphStore::relabeled() const
+Generation::relabeled() const
 {
     auto und = undirected(); // dependency first, outside any build lock
     return acquire(relabeled_,
@@ -114,13 +194,13 @@ GraphStore::relabeled() const
 }
 
 std::shared_ptr<const grb::lagraph::GrbGraph>
-GraphStore::grb() const
+Generation::grb() const
 {
     return acquire(grb_, [&] { return grb::lagraph::make_grb_graph(base_); });
 }
 
 std::shared_ptr<const grb::lagraph::GrbGraph>
-GraphStore::grb_weighted() const
+Generation::grb_weighted() const
 {
     auto wg = weighted();
     auto pattern = grb();
@@ -131,113 +211,32 @@ GraphStore::grb_weighted() const
     });
 }
 
-void
-GraphStore::evict_derived()
-{
-    std::lock_guard<std::mutex> lock(state_mu_);
-    weighted_.value.reset();
-    undirected_.value.reset();
-    relabeled_.value.reset();
-    grb_.value.reset();
-    grb_weighted_.value.reset();
-}
-
 std::uint64_t
-GraphStore::fingerprint() const
+Generation::fingerprint() const
 {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    if (!fingerprint_done_) {
-        support::Fnv1a h;
-        h.update_value(base_->num_vertices());
-        h.update_value(base_->is_directed());
-        h.update_vector(base_->out_offsets());
-        h.update_vector(base_->out_destinations());
-        h.update_value(weight_seed_);
-        fingerprint_ = h.digest();
-        fingerprint_done_ = true;
-        if (generation_ == 0 && !identity_done_) {
-            identity_ = fingerprint_;
-            identity_done_ = true;
-        }
+    {
+        std::lock_guard<std::mutex> lock(ledger_->mu);
+        if (fingerprint_done_)
+            return fingerprint_;
     }
+    // Hashed outside the lock: the base is immutable, so racing callers
+    // compute the same digest.
+    support::Fnv1a h;
+    h.update_value(base_->num_vertices());
+    h.update_value(base_->is_directed());
+    h.update_vector(base_->out_offsets());
+    h.update_vector(base_->out_destinations());
+    h.update_value(weight_seed_);
+    std::lock_guard<std::mutex> lock(ledger_->mu);
+    fingerprint_ = h.digest();
+    fingerprint_done_ = true;
     return fingerprint_;
 }
 
-std::uint64_t
-GraphStore::identity_locked() const
-{
-    if (!identity_done_) {
-        // Only reachable while still at generation 0 (install_generation
-        // freezes the identity before the first swap).
-        support::Fnv1a h;
-        h.update_value(base_->num_vertices());
-        h.update_value(base_->is_directed());
-        h.update_vector(base_->out_offsets());
-        h.update_vector(base_->out_destinations());
-        h.update_value(weight_seed_);
-        identity_ = h.digest();
-        identity_done_ = true;
-    }
-    return identity_;
-}
-
-std::uint64_t
-GraphStore::identity() const
-{
-    std::lock_guard<std::mutex> lock(state_mu_);
-    return identity_locked();
-}
-
-std::uint64_t
-GraphStore::generation() const
-{
-    std::lock_guard<std::mutex> lock(state_mu_);
-    return generation_;
-}
-
-std::uint64_t
-GraphStore::install_generation(graph::CSRGraph next)
-{
-    auto installed = std::make_shared<const graph::CSRGraph>(std::move(next));
-    std::lock_guard<std::mutex> lock(state_mu_);
-    (void)identity_locked(); // freeze gen-0 identity before the swap
-    retired_.emplace_back(std::weak_ptr<const graph::CSRGraph>(base_),
-                          base_->bytes_resident());
-    base_ = std::move(installed);
-    ++generation_;
-    fingerprint_done_ = false; // next fingerprint() hashes the new base
-    // Cached derived forms describe the retired generation; drop them so
-    // the next getter rebuilds against the new base.  Outstanding
-    // shared_ptrs stay valid and keep the old bytes counted above.
-    weighted_.value.reset();
-    undirected_.value.reset();
-    relabeled_.value.reset();
-    grb_.value.reset();
-    grb_weighted_.value.reset();
-    prune_retired_locked();
-    update_high_water();
-    return generation_;
-}
-
-void
-GraphStore::set_overlay_bytes(std::size_t bytes)
-{
-    std::lock_guard<std::mutex> lock(state_mu_);
-    overlay_bytes_ = bytes;
-    update_high_water();
-}
-
-void
-GraphStore::prune_retired_locked() const
-{
-    std::erase_if(retired_, [](const auto& row) { return row.first.expired(); });
-}
-
 std::size_t
-GraphStore::resident_locked() const
+Generation::derived_bytes_locked() const
 {
-    prune_retired_locked();
-    std::size_t total = base_->bytes_resident();
+    std::size_t total = 0;
     const auto add = [&](const auto& slot) {
         if (slot.value)
             total += slot.bytes;
@@ -247,61 +246,141 @@ GraphStore::resident_locked() const
     add(relabeled_);
     add(grb_);
     add(grb_weighted_);
-    total += overlay_bytes_;
-    for (const auto& row : retired_)
-        total += row.second;
     return total;
+}
+
+void
+Generation::evict_locked() const
+{
+    weighted_.value.reset();
+    undirected_.value.reset();
+    relabeled_.value.reset();
+    grb_.value.reset();
+    grb_weighted_.value.reset();
+}
+
+GraphStore::GraphStore(graph::CSRGraph base, std::uint64_t weight_seed)
+    : ledger_(std::make_shared<detail::Ledger>()),
+      weight_seed_(weight_seed),
+      current_(new Generation(
+          std::make_shared<const graph::CSRGraph>(std::move(base)),
+          weight_seed, /*id=*/0, ledger_))
+{
+    ledger_->current = current_.get();
+    ledger_->high_water = current_->base().bytes_resident();
+}
+
+GraphStore::~GraphStore()
+{
+    // Generations pinned past the store keep the ledger alive; they must
+    // not read the current generation the store is about to drop.
+    std::lock_guard<std::mutex> lock(ledger_->mu);
+    ledger_->current = nullptr;
+}
+
+std::shared_ptr<const Generation>
+GraphStore::current() const
+{
+    std::lock_guard<std::mutex> lock(ledger_->mu);
+    return current_;
+}
+
+const graph::CSRGraph&
+GraphStore::base() const
+{
+    std::lock_guard<std::mutex> lock(ledger_->mu);
+    return current_->base();
+}
+
+void
+GraphStore::evict_derived()
+{
+    std::lock_guard<std::mutex> lock(ledger_->mu);
+    current_->evict_locked();
+}
+
+std::uint64_t
+GraphStore::identity() const
+{
+    std::shared_ptr<const Generation> gen;
+    {
+        std::lock_guard<std::mutex> lock(ledger_->mu);
+        if (identity_done_)
+            return identity_;
+        gen = current_;
+    }
+    const std::uint64_t fingerprint = gen->fingerprint();
+    std::lock_guard<std::mutex> lock(ledger_->mu);
+    if (!identity_done_) {
+        // install_generation() freezes the identity before its swap, so
+        // an unfrozen identity is always read at generation 0.
+        GM_ASSERT(gen->id() == 0, "identity read past generation 0");
+        identity_ = fingerprint;
+        identity_done_ = true;
+    }
+    return identity_;
+}
+
+std::uint64_t
+GraphStore::install_generation(graph::CSRGraph next)
+{
+    (void)identity(); // freeze gen-0 identity before the swap
+    auto base = std::make_shared<const graph::CSRGraph>(std::move(next));
+    std::shared_ptr<const Generation> retired;
+    std::uint64_t id = 0;
+    {
+        std::lock_guard<std::mutex> lock(ledger_->mu);
+        id = current_->id() + 1;
+        retired = std::exchange(
+            current_, std::shared_ptr<const Generation>(new Generation(
+                          std::move(base), weight_seed_, id, ledger_)));
+        ledger_->retired.push_back({retired->base_ptr(),
+                                    retired->base().bytes_resident(),
+                                    retired});
+        ledger_->current = current_.get();
+        ledger_->update_high_water_locked();
+    }
+    // Dropped outside the lock: when no reader pins it, the retired
+    // generation is freed here.
+    return id;
+}
+
+void
+GraphStore::set_overlay_bytes(std::size_t bytes)
+{
+    std::lock_guard<std::mutex> lock(ledger_->mu);
+    ledger_->overlay_bytes = bytes;
+    ledger_->update_high_water_locked();
 }
 
 std::size_t
 GraphStore::bytes_resident() const
 {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    return resident_locked();
-}
-
-void
-GraphStore::update_high_water() const
-{
-    const std::size_t total = resident_locked();
-    if (total > high_water_bytes_)
-        high_water_bytes_ = total;
+    std::lock_guard<std::mutex> lock(ledger_->mu);
+    return ledger_->resident_locked();
 }
 
 std::size_t
 GraphStore::bytes_high_water() const
 {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    return high_water_bytes_;
-}
-
-template <typename T>
-ArtifactInfo
-GraphStore::info(const char* name, const Slot<T>& slot) const
-{
-    // Caller holds state_mu_.
-    ArtifactInfo row;
-    row.name = name;
-    row.resident = slot.value != nullptr;
-    row.bytes = slot.bytes;
-    row.build_seconds = slot.build_seconds;
-    row.builds = slot.builds;
-    return row;
+    std::lock_guard<std::mutex> lock(ledger_->mu);
+    return ledger_->high_water;
 }
 
 std::vector<ArtifactInfo>
 GraphStore::artifacts() const
 {
-    std::lock_guard<std::mutex> lock(state_mu_);
+    std::lock_guard<std::mutex> lock(ledger_->mu);
+    const Generation& gen = *current_;
     std::vector<ArtifactInfo> rows;
     ArtifactInfo base_row;
     base_row.name = "base";
     base_row.resident = true;
-    base_row.bytes = base_->bytes_resident();
+    base_row.bytes = gen.base().bytes_resident();
     rows.push_back(std::move(base_row));
-    rows.push_back(info("weighted", weighted_));
-    if (base_->is_directed()) {
-        rows.push_back(info("undirected", undirected_));
+    rows.push_back(info("weighted", gen.weighted_));
+    if (gen.base().is_directed()) {
+        rows.push_back(info("undirected", gen.undirected_));
     } else {
         ArtifactInfo row;
         row.name = "undirected";
@@ -309,24 +388,22 @@ GraphStore::artifacts() const
         row.alias = true; // shares the base graph's buffers
         rows.push_back(std::move(row));
     }
-    rows.push_back(info("relabeled", relabeled_));
-    rows.push_back(info("grb", grb_));
-    rows.push_back(info("grb+weights", grb_weighted_));
-    prune_retired_locked();
+    rows.push_back(info("relabeled", gen.relabeled_));
+    rows.push_back(info("grb", gen.grb_));
+    rows.push_back(info("grb+weights", gen.grb_weighted_));
     {
         ArtifactInfo row;
         row.name = "overlay";
-        row.resident = overlay_bytes_ > 0;
-        row.bytes = overlay_bytes_;
+        row.resident = ledger_->overlay_bytes > 0;
+        row.bytes = ledger_->overlay_bytes;
         rows.push_back(std::move(row));
     }
     {
         ArtifactInfo row;
         row.name = "retired";
-        row.resident = !retired_.empty();
-        row.builds = static_cast<int>(retired_.size());
-        for (const auto& r : retired_)
-            row.bytes += r.second;
+        row.bytes = ledger_->retired_bytes_locked();
+        row.resident = !ledger_->retired.empty();
+        row.builds = static_cast<int>(ledger_->retired.size());
         rows.push_back(std::move(row));
     }
     return rows;

@@ -41,11 +41,10 @@
  *                         stays cold), a delay fault slows publication.
  *   "serve.mutate"        polled by Server::mutate() after the batch is
  *                         applied to the overlay (and any compaction is
- *                         built) and before the lane budget is taken for
- *                         the install; an error fault fails the call as
- *                         UNAVAILABLE with the batch left in the overlay
- *                         for the next compaction, a delay fault
- *                         stretches the part that runs beside queries.
+ *                         built) and before the install; an error fault
+ *                         fails the call as UNAVAILABLE with the batch
+ *                         left in the overlay for the next compaction, a
+ *                         delay fault stretches the call.
  *   "serve.plan.node"     polled by the plan driver just before each DAG
  *                         node executes; an error fault fails that node
  *                         (and with it the plan — failed flights are not

@@ -434,6 +434,73 @@ TEST(PlanServeTest, MutateInvalidatesPlanCache)
     EXPECT_EQ(after.value().generation, 1u);
 }
 
+TEST(PlanServeTest, CompactionsBetweenWavesLeaveThePlanOnItsSubmitGeneration)
+{
+    // Every node waits 150 ms before executing, so the first compaction
+    // lands before wave 0's kernels run and the second during wave 1.
+    ScopedFaults faults("serve.plan.node:1:1:delay=150");
+    const harness::DatasetSuite graphs = mutable_suite();
+    const store::GraphStore& store = *graphs[0].store();
+    ServerOptions options;
+    options.workers = 2;
+    Server server(graphs, frameworks(), options);
+    plan::Plan p;
+    const int cc = p.add_kernel(Kernel::kCC);
+    const int pr = p.add_kernel(Kernel::kPR);
+    p.add_component_reduce(cc, pr, plan::ReduceOp::kSum);
+    p.add_histogram(cc, 8);
+    PlanRequest req;
+    req.graph = "Mut";
+    req.plan = p;
+
+    auto handle = server.submit_plan(req);
+    ASSERT_TRUE(handle.is_ok()) << handle.status().to_string();
+    for (const int delay_ms : {50, 175}) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+        dyn::MutationBatch batch;
+        batch.insert(delay_ms, 200);
+        batch.insert(3, delay_ms + 1);
+        auto outcome = server.mutate("Mut", batch);
+        ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+        ASSERT_TRUE(outcome->compacted);
+    }
+    auto during = handle->wait();
+    ASSERT_TRUE(during.is_ok()) << during.status().to_string();
+    EXPECT_EQ(store.generation(), 2u);
+
+    // Every node answers generation 0: its bytes equal plan::execute on
+    // a twin store that never mutated.
+    EXPECT_EQ(during->generation, 0u);
+    const harness::DatasetSuite twin = mutable_suite();
+    std::vector<plan::Value> gen0;
+    {
+        par::SerialRegion serial;
+        plan::Context ctx{&twin[0], &frameworks()[harness::kGapIndex],
+                          Mode::kBaseline};
+        auto values = plan::execute(p, ctx);
+        ASSERT_TRUE(values.is_ok()) << values.status().to_string();
+        gen0 = std::move(values).value();
+    }
+    ASSERT_EQ(during->nodes.size(), gen0.size());
+    for (std::size_t id = 0; id < gen0.size(); ++id)
+        EXPECT_EQ(during->nodes[id].fingerprint,
+                  result_fingerprint(gen0[id]))
+            << "node " << id;
+
+    // The finished plan pins nothing, and a new plan reads generation 2,
+    // whose PageRank differs.
+    for (const store::ArtifactInfo& row : store.artifacts()) {
+        if (row.name == "retired") {
+            EXPECT_EQ(row.bytes, 0u);
+        }
+    }
+    auto after = server.run_plan(req);
+    ASSERT_TRUE(after.is_ok()) << after.status().to_string();
+    EXPECT_EQ(after->generation, 2u);
+    EXPECT_NE(after->nodes[static_cast<std::size_t>(pr)].fingerprint,
+              during->nodes[static_cast<std::size_t>(pr)].fingerprint);
+}
+
 TEST(PlanServeTest, SubmitRejectsBadPlans)
 {
     Server server(suite(), frameworks(), ServerOptions{.workers = 1});

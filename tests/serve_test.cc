@@ -1104,7 +1104,6 @@ TEST(ServeDynTest, WritesMutationRecords)
         EXPECT_NE(line.find("\"graph\":\"Mut\""), std::string::npos);
         EXPECT_NE(line.find("\"requested\":2"), std::string::npos);
         EXPECT_NE(line.find("\"generation\":1"), std::string::npos);
-        EXPECT_NE(line.find("\"quiesce_ms\":"), std::string::npos);
         EXPECT_NE(line.find("\"dirty_fraction\":"), std::string::npos);
     }
     EXPECT_EQ(mutation_records, 1);
@@ -1124,8 +1123,8 @@ mut_query(Kernel kernel)
 TEST(ServeDynTest, QueriesRunWhileAMutationIsOutsideItsInstall)
 {
     // A delay at serve.mutate parks the mutation between apply and
-    // install.  Queries keep executing meanwhile, on generation 0: only
-    // the install takes the lane budget.
+    // install.  Queries keep executing meanwhile, on generation 0: the
+    // mutation takes no lanes.
     ServerOptions options;
     options.workers = 1;
     options.cache_capacity_bytes = 0;
@@ -1219,7 +1218,6 @@ TEST(ServeDynTest, BatchThatDoesNotCompactTakesNoLanes)
     EXPECT_EQ(leader.wait_for(0).status().code(),
               StatusCode::kDeadlineExceeded);
     EXPECT_FALSE(outcome->compacted);
-    EXPECT_EQ(outcome->quiesce_seconds, 0.0);
     EXPECT_LT(outcome->mutate_seconds, 0.2);
     EXPECT_EQ(outcome->generation, 0u);
 
@@ -1228,8 +1226,14 @@ TEST(ServeDynTest, BatchThatDoesNotCompactTakesNoLanes)
     EXPECT_EQ(got->generation, 0u);
 }
 
-TEST(ServeDynTest, CompactionWaitsForLeadersOnlyToInstall)
+TEST(ServeDynTest, CompactionInstallsWhileALeaderRunsOnItsPinnedGeneration)
 {
+    // Generation-0 PageRank, from a twin store the server never mutates.
+    const harness::DatasetSuite twin = mutable_suite();
+    const harness::Framework& gap = frameworks()[harness::kGapIndex];
+    const std::uint64_t gen0 = result_fingerprint(direct(
+        [&] { return ResultValue(gap.pr(twin[0], Mode::kBaseline)); }));
+
     Server server(mutable_suite(), frameworks(), one_lane_options(1));
     ScopedFaults faults("serve.execute:1x:1:delay=400");
     const Server::Handle leader = start_slow_leader(server);
@@ -1240,13 +1244,152 @@ TEST(ServeDynTest, CompactionWaitsForLeadersOnlyToInstall)
     ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
     EXPECT_TRUE(outcome->compacted);
     EXPECT_EQ(outcome->generation, 1u);
-    EXPECT_GE(outcome->quiesce_seconds, 0.25);
-    EXPECT_LE(outcome->quiesce_seconds, outcome->mutate_seconds);
+    // The install waited for nothing: the leader still holds the only
+    // lane, and its kernel has not started.
+    EXPECT_LT(outcome->mutate_seconds, 0.2);
+    EXPECT_EQ(leader.wait_for(0).status().code(),
+              StatusCode::kDeadlineExceeded);
 
-    // The install waited for the leader, which ran on generation 0.
-    auto got = leader.wait_for(0);
+    // The leader pinned generation 0 at dequeue and answers it, bytes
+    // included, although its kernel ran after the install.
+    auto got = leader.wait();
     ASSERT_TRUE(got.is_ok()) << got.status().to_string();
     EXPECT_EQ(got->generation, 0u);
+    EXPECT_EQ(got->fingerprint, gen0);
+    EXPECT_EQ(result_fingerprint(*got->value), gen0);
+
+    auto fresh = server.query(mut_query(Kernel::kPR));
+    ASSERT_TRUE(fresh.is_ok()) << fresh.status().to_string();
+    EXPECT_EQ(fresh->generation, 1u);
+    EXPECT_NE(fresh->fingerprint, gen0);
+}
+
+/** The store's "retired" accounting row. */
+store::ArtifactInfo
+retired_row(const store::GraphStore& store)
+{
+    for (const store::ArtifactInfo& row : store.artifacts()) {
+        if (row.name == "retired")
+            return row;
+    }
+    ADD_FAILURE() << "no retired row";
+    return {};
+}
+
+TEST(ServeDynTest, RetiredBytesDropToZeroWhenThePinningRequestCompletes)
+{
+    const harness::DatasetSuite graphs = mutable_suite();
+    const store::GraphStore& store = *graphs[0].store();
+    const std::size_t gen0_base = store.base().bytes_resident();
+    Server server(graphs, frameworks(), one_lane_options(1));
+    ScopedFaults faults("serve.execute:1x:1:delay=400");
+    const Server::Handle leader = start_slow_leader(server);
+
+    dyn::MutationBatch batch;
+    batch.insert(6, 110);
+    auto outcome = server.mutate("Mut", batch);
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    ASSERT_TRUE(outcome->compacted);
+
+    // Only the sleeping leader holds generation 0 now.
+    const store::ArtifactInfo held = retired_row(store);
+    EXPECT_TRUE(held.resident);
+    EXPECT_GE(held.bytes, gen0_base);
+
+    ASSERT_TRUE(leader.wait().is_ok());
+    const store::ArtifactInfo released = retired_row(store);
+    EXPECT_FALSE(released.resident);
+    EXPECT_EQ(released.bytes, 0u);
+}
+
+TEST(ServeDynTest, CompactionFinishesPromptlyUnderSaturatingReaders)
+{
+    // Cache off, more workers than lanes, and every execution stretched
+    // to 20 ms: a leader always holds each lane and another waits for
+    // it.  The readers start 10 ms apart, so the two lanes never free at
+    // once.  An install that waited for the lanes to drain would wait
+    // until the readers give up (5 s); one that waits for no reader
+    // returns at once.
+    ServerOptions options;
+    options.workers = 4;
+    options.lane_budget = 2;
+    options.cache_capacity_bytes = 0;
+    Server server(mutable_suite(), frameworks(), options);
+    ScopedFaults faults("serve.execute:1:1:delay=20");
+
+    constexpr int kReaders = 8;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+        readers.emplace_back([&, r] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10 * r));
+            Request req = mut_query(Kernel::kBFS);
+            for (vid_t source = r;
+                 !stop.load() && std::chrono::steady_clock::now() < give_up;
+                 source = (source + kReaders) % 256) {
+                req.source = source;
+                (void)server.query(req);
+            }
+        });
+    }
+    EXPECT_TRUE(eventually(
+        [&] { return server.stats_snapshot().executions >= 2 * kReaders; }));
+
+    dyn::MutationBatch batch;
+    batch.insert(6, 110);
+    const auto begin = std::chrono::steady_clock::now();
+    auto outcome = server.mutate("Mut", batch);
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - begin;
+    stop.store(true);
+    for (std::thread& t : readers)
+        t.join();
+
+    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
+    EXPECT_TRUE(outcome->compacted);
+    EXPECT_LT(took.count(), 1.0);
+}
+
+TEST(ServeDynTest, SubmitValidatesAgainstAPinnedGenerationDuringInstalls)
+{
+    // submit() bounds-checks the source against the graph while
+    // compacting mutations install new generations beside it; the
+    // generation it reads is pinned, so the check never races an
+    // install (tier 3 runs this under ThreadSanitizer).
+    ServerOptions options;
+    options.workers = 2;
+    Server server(mutable_suite(), frameworks(), options);
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+        for (int i = 0; i < 200; ++i) {
+            dyn::MutationBatch batch;
+            batch.insert(i % 256, (i * 37 + 11) % 256);
+            EXPECT_TRUE(server.mutate("Mut", batch).is_ok());
+        }
+        done.store(true);
+    });
+    Request req = mut_query(Kernel::kBFS);
+    std::uint64_t last_generation = 0;
+    int answered = 0;
+    for (vid_t source = 0; !done.load(); source = (source + 1) % 256) {
+        req.source = source;
+        auto handle = server.submit(req);
+        EXPECT_TRUE(handle.is_ok()) << handle.status().to_string();
+        if (!handle.is_ok())
+            break;
+        auto got = handle->wait();
+        EXPECT_TRUE(got.is_ok()) << got.status().to_string();
+        if (!got.is_ok())
+            break;
+        EXPECT_GE(got->generation, last_generation);
+        last_generation = got->generation;
+        ++answered;
+    }
+    writer.join();
+    EXPECT_GT(answered, 0);
+    EXPECT_GT(server.stats_snapshot().compactions, 100u);
 }
 
 TEST(ServeDynTest, ServedCcAndPrMatchDirectCallsOnTheNewGeneration)

@@ -316,6 +316,58 @@ TEST(GraphStoreTest, DynAccountingAcrossMutateCompactEvictCycle)
     EXPECT_GE(store->bytes_high_water(), base1 + base0);
 }
 
+TEST(GraphStoreTest, PinnedGenerationKeepsItsFormsAndCountsThemWhenRetired)
+{
+    GraphStore store(graph::make_uniform(9, 6, 5), 7);
+    const std::shared_ptr<const store::Generation> pin = store.current();
+    const std::size_t weighted = pin->weighted()->bytes_resident();
+    const graph::CSRGraph& gen0 = pin->base();
+
+    graph::CSRGraph next = graph::make_uniform(9, 6, 6);
+    EXPECT_EQ(store.install_generation(std::move(next)), 1u);
+    EXPECT_EQ(store.generation(), 1u);
+    EXPECT_EQ(pin->id(), 0u);
+    EXPECT_EQ(&pin->base(), &gen0); // the pin still reads generation 0
+    EXPECT_NE(&store.base(), &gen0);
+
+    // The retired generation counts in full — base and weighted form —
+    // until its pin drops.
+    const ArtifactInfo retired = find_artifact(store, "retired");
+    EXPECT_TRUE(retired.resident);
+    EXPECT_EQ(retired.bytes, gen0.bytes_resident() + weighted);
+    EXPECT_EQ(store.bytes_resident(), store.base().bytes_resident() +
+                                          gen0.bytes_resident() + weighted);
+}
+
+TEST(GraphStoreTest, RetiredBytesFallToZeroWhenThePinDrops)
+{
+    GraphStore store(graph::make_uniform(9, 6, 5), 7);
+    std::shared_ptr<const store::Generation> pin = store.current();
+    pin->grb_weighted();
+    store.install_generation(graph::make_uniform(9, 6, 6));
+    EXPECT_GT(find_artifact(store, "retired").bytes,
+              pin->base().bytes_resident());
+    pin.reset();
+    EXPECT_EQ(find_artifact(store, "retired").bytes, 0u);
+    EXPECT_FALSE(find_artifact(store, "retired").resident);
+    EXPECT_EQ(store.bytes_resident(), store.base().bytes_resident());
+}
+
+TEST(DatasetFacadeTest, PinnedCopyReadsOneGenerationAcrossInstalls)
+{
+    harness::Dataset ds = harness::make_dataset(
+        "pin", graph::make_uniform(8, 4, 9), 4, 13);
+    const harness::Dataset pinned = ds.pinned();
+    const graph::CSRGraph& gen0 = pinned.g();
+    ds.store()->install_generation(graph::make_uniform(8, 4, 10));
+    EXPECT_EQ(&pinned.g(), &gen0);
+    EXPECT_EQ(pinned.generation()->id(), 0u);
+    EXPECT_EQ(ds.generation()->id(), 1u);
+    EXPECT_NE(&ds.g(), &gen0);
+    EXPECT_EQ(pinned.pinned().generation()->id(), 0u);
+    EXPECT_EQ(pinned.store().get(), ds.store().get());
+}
+
 TEST(DatasetFacadeTest, DatasetIsLazyAndCopiesShareTheStore)
 {
     harness::Dataset ds = harness::make_dataset(

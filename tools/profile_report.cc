@@ -245,8 +245,8 @@ report_metrics(const std::string& path, bool with_spans,
 /**
  * Summarize a serve JSONL stream: one table row per serve.slo phase
  * record, a per-graph mutation table (serve.mutation batches from
- * Server::mutate; quiesce/op and ms/op are mean milliseconds per batch
- * blocked on the lane budget and in the whole call), a per-graph plan
+ * Server::mutate; ms/op is the mean milliseconds per batch spent in the
+ * whole call), a per-graph plan
  * table (serve.plan records from
  * Server::submit_plan), then burn-monitor transitions, refusal counts
  * by status code, and the telemetry snapshot envelope (count + last
@@ -276,7 +276,6 @@ report_slo(const std::string& path)
         std::uint64_t compactions = 0;
         std::uint64_t generation = 0; ///< highest seen
         double dirty_fraction_total = 0;
-        double quiesce_ms_total = 0;
         double mutate_ms_total = 0;
     };
     /** Per-graph rollup of serve.plan records. */
@@ -337,7 +336,6 @@ report_slo(const std::string& path)
                 m.compactions += u64("compacted");
                 m.generation = std::max(m.generation, u64("generation"));
                 m.dirty_fraction_total += dbl("dirty_fraction");
-                m.quiesce_ms_total += dbl("quiesce_ms");
                 m.mutate_ms_total += dbl("mutate_ms");
             }
         } else if (kind == "serve.plan") {
@@ -425,8 +423,7 @@ report_slo(const std::string& path)
                   << std::setw(9) << "Batches" << std::setw(9) << "InsArcs"
                   << std::setw(9) << "DelArcs" << std::setw(9) << "Compact"
                   << std::setw(6) << "Gen" << std::setw(9) << "Dirty"
-                  << std::setw(12) << "quiesce/op" << std::setw(9)
-                  << "ms/op" << "\n";
+                  << std::setw(9) << "ms/op" << "\n";
         for (const auto& [graph, m] : mutations) {
             const double batches = static_cast<double>(m.batches);
             std::cout << std::left << std::setw(10) << graph << std::right
@@ -435,9 +432,8 @@ report_slo(const std::string& path)
                       << std::setw(9) << m.compactions << std::setw(6)
                       << m.generation << std::setw(9) << std::fixed
                       << std::setprecision(4)
-                      << m.dirty_fraction_total / batches << std::setw(12)
+                      << m.dirty_fraction_total / batches << std::setw(9)
                       << std::setprecision(3)
-                      << m.quiesce_ms_total / batches << std::setw(9)
                       << m.mutate_ms_total / batches << "\n";
         }
     }
