@@ -149,7 +149,7 @@ struct QueryResult
      *  0); matches the "trace" field of this query's JSONL records. */
     std::uint64_t trace_id = 0;
     /** Data generation of the graph this answer was computed against
-     *  (bumped by Server::mutate compactions).  For degraded answers it
+     *  (bumped by each Server::mutate install).  For degraded answers it
      *  may lag the store's current generation — that is what "stale"
      *  means once a graph mutates. */
     std::uint64_t generation = 0;

@@ -44,7 +44,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "gm/dyn/overlay.hh"
@@ -73,7 +72,6 @@ namespace gm::serve
 
 namespace detail
 {
-struct DynState;
 struct LaneGate;
 struct PlanState;
 struct RequestState;
@@ -137,25 +135,20 @@ struct ServerOptions
      *  always evaluated — gauges and burn records only surface through
      *  telemetry/metrics streams when those are configured. */
     telemetry::SloOptions slo;
-    /** Compact the gm::dyn overlay into a fresh CSR generation after
-     *  every N applied batches per graph (1 = every mutate() call bumps
-     *  the generation; 0 = never compact, deltas accumulate and queries
-     *  keep reading the merged view's base generation). */
-    int dyn_compact_every = 1;
 };
 
 /** Outcome of one Server::mutate() batch, for callers and tests. */
 struct MutationOutcome
 {
     /** Store generation current after the mutation (bumped iff the batch
-     *  changed the graph and this call compacted). */
+     *  changed the graph). */
     std::uint64_t generation = 0;
     std::size_t requested = 0;   ///< mutations submitted in the batch
     eid_t inserted_arcs = 0;     ///< stored arcs that became live
     eid_t deleted_arcs = 0;      ///< stored arcs that died
     std::size_t dirty = 0;       ///< vertices whose adjacency changed
     double dirty_fraction = 0;   ///< dirty / n
-    bool compacted = false;      ///< folded into a fresh CSR generation
+    bool compacted = false;      ///< installed a new CSR generation
     /** Always false: the server maintains no kernel answers (served CC
      *  and PR run the kernel on the current generation).  Kept because
      *  gapbench/workloads.cc reads them, and gapbench/ is the benchmark
@@ -388,24 +381,22 @@ class Server
 
     /**
      * Apply one batch of edge mutations to @p graph between queries.
-     * Applies the batch to the graph's gm::dyn overlay and, per
-     * dyn_compact_every, builds the merged CSR and installs it as the
-     * store's next generation — all beside running queries, which never
-     * read the overlay.  The install is a pointer swap: every reader
-     * pinned its generation when it started (a query's leader at
-     * dequeue, a plan at submit) and keeps reading it, so mutate()
-     * waits for no reader and takes no lanes.  A batch that does not
-     * compact stays invisible to queries until a later compaction.
-     * Afterwards cached answers from older generations stop being fresh
-     * hits (they remain allow_stale fodder, served as degraded) and the
-     * next fresh query recomputes against the new generation.
-     * Mutations are serialized by dyn_mu_.
+     * Merges the batch into the graph's current CSR generation
+     * (dyn::merge) and, when that changed an arc, installs the result as
+     * the store's next generation — all beside running queries.  The
+     * install is a pointer swap: every reader pinned its generation when
+     * it started (a query's leader at dequeue, a plan at submit) and
+     * keeps reading it, so mutate() waits for no reader and takes no
+     * lanes.  A batch that changes nothing installs nothing.  Afterwards
+     * cached answers from older generations stop being fresh hits (they
+     * remain allow_stale fodder, served as degraded) and the next fresh
+     * query recomputes against the new generation.  Mutations are
+     * serialized by dyn_mu_.
      *
      * Returns kInvalidInput for an unknown graph or an out-of-range
-     * endpoint (the batch is rejected whole — nothing applied),
-     * kUnavailable for an error fault at "serve.mutate" (the batch is
-     * already in the overlay and reaches queries with the next
-     * compaction), and kResourceExhausted after shutdown().
+     * endpoint (the batch is rejected whole), kUnavailable for an error
+     * fault at "serve.mutate", and kResourceExhausted after shutdown();
+     * an error leaves the graph as it was.
      */
     support::StatusOr<MutationOutcome>
     mutate(const std::string& graph, const dyn::MutationBatch& batch);
@@ -576,13 +567,10 @@ class Server
 
     std::mutex metrics_mu_; ///< serializes JSONL appends across workers
 
-    /** Per-graph dynamic overlays, created lazily on first mutate().
-     *  dyn_mu_ serializes mutations; readers never take it (each reads
-     *  the store generation it pinned). */
+    /** Serializes mutations; readers never take it (each reads the
+     *  store generation it pinned). */
     std::mutex dyn_mu_;
-    std::unordered_map<std::string, std::unique_ptr<detail::DynState>>
-        dyn_;
-    /** Largest generation installed by any graph's compactions — the
+    /** Largest generation installed by any graph's mutations — the
      *  monotone gm_dyn_generation gauge value.  Guarded by dyn_mu_. */
     std::uint64_t dyn_generation_peak_ = 0;
 

@@ -131,7 +131,6 @@ struct ServeTelemetry
     telemetry::Counter* dyn_compactions = nullptr;
     telemetry::Gauge* dyn_generation = nullptr;
     telemetry::Gauge* dyn_dirty_fraction = nullptr;
-    telemetry::Gauge* dyn_overlay_bytes = nullptr;
     telemetry::Histogram* dyn_batch_edges = nullptr;
     telemetry::Histogram* dyn_mutate_ns = nullptr;
     telemetry::Counter* plans_submitted = nullptr;
@@ -214,7 +213,6 @@ struct ServeTelemetry
         dyn_compactions = &reg.counter("gm_dyn_compactions_total");
         dyn_generation = &reg.gauge("gm_dyn_generation");
         dyn_dirty_fraction = &reg.gauge("gm_dyn_dirty_fraction");
-        dyn_overlay_bytes = &reg.gauge("gm_dyn_overlay_bytes");
         dyn_batch_edges = &reg.histogram("gm_dyn_batch_edges");
         dyn_mutate_ns = &reg.histogram("gm_dyn_mutate_ns");
         plans_submitted = &reg.counter("gm_plan_submitted_total");

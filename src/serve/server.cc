@@ -26,29 +26,6 @@ using support::Status;
 using support::StatusCode;
 using support::StatusOr;
 
-namespace detail
-{
-
-/**
- * Per-graph dynamic state, created lazily on the first mutate() for a
- * graph: the store's delta overlay and the compaction cadence.  The
- * server maintains no kernel answers across mutations — every served
- * answer runs its kernel on the current generation.  Guarded by the
- * server's dyn_mu_.
- */
-struct DynState
-{
-    dyn::DynamicGraph graph;
-    std::uint64_t batches = 0; ///< applied batches (compaction cadence)
-
-    explicit DynState(std::shared_ptr<store::GraphStore> store)
-        : graph(std::move(store))
-    {
-    }
-};
-
-} // namespace detail
-
 using detail::RequestState;
 
 namespace
@@ -503,50 +480,33 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
     if (ds == nullptr)
         return Status(StatusCode::kInvalidInput,
                       "unknown graph: " + graph);
-    {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        if (shutdown_)
-            return Status(StatusCode::kResourceExhausted,
-                          "server is shut down");
-    }
+    if (shutdown_)
+        return Status(StatusCode::kResourceExhausted, "server is shut down");
 
     const std::int64_t begin_ns = Timer::now_ns();
     MutationOutcome outcome;
     outcome.requested = batch.size();
     std::uint64_t generation_peak = 0;
-    double overlay_bytes = 0;
     {
         std::lock_guard<std::mutex> lock(dyn_mu_);
-        auto it = dyn_.find(graph);
-        if (it == dyn_.end())
-            it = dyn_.emplace(graph, std::make_unique<detail::DynState>(
-                                         ds->store()))
-                     .first;
-        detail::DynState& st = *it->second;
-        // Apply and build read only the overlay's base and deltas; no
-        // reader sees either until the install.
-        auto effect_or = st.graph.apply(batch);
-        if (!effect_or.is_ok())
-            return effect_or.status();
-        const dyn::BatchEffect& effect = effect_or.value();
+        // The merge reads only the pinned generation; no reader sees its
+        // result until the install.
+        const std::shared_ptr<const store::Generation> base =
+            ds->store()->current();
+        auto merged_or = dyn::merge(base->base(), batch);
+        if (!merged_or.is_ok())
+            return merged_or.status();
+        dyn::Merged merged = std::move(merged_or).value();
+        const dyn::BatchEffect& effect = merged.effect;
         outcome.inserted_arcs = effect.inserted_arcs;
         outcome.deleted_arcs = effect.deleted_arcs;
         outcome.dirty = effect.dirty.size();
         outcome.dirty_fraction =
-            effect.dirty_fraction(st.graph.view().num_vertices());
-        ++st.batches;
-        const bool compact =
-            options_.dyn_compact_every > 0 &&
-            st.batches % static_cast<std::uint64_t>(
-                             options_.dyn_compact_every) ==
-                0 &&
-            st.graph.pending_entries() > 0;
-        dyn::Compaction built;
-        if (compact)
-            built = st.graph.build();
+            effect.dirty_fraction(base->base().num_vertices());
 
         // Chaos site: a delay fault stretches the mutation; an error
-        // fault fails the call before the install.
+        // fault fails the call before the install, leaving nothing
+        // behind.
         try {
             support::FaultInjector::global().at("serve.mutate");
         } catch (const support::FaultInjectedError&) {
@@ -554,18 +514,18 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
                           "injected fault at serve.mutate");
         }
 
-        if (compact) {
+        if (merged.csr) {
             // A pointer swap: running readers keep the generation they
             // pinned, and the next pin reads this one.
-            outcome.generation = st.graph.install(std::move(built));
+            outcome.generation = ds->store()->install_generation(
+                std::move(*merged.csr));
             outcome.compacted = true;
         } else {
-            outcome.generation = ds->store()->generation();
+            outcome.generation = base->id();
         }
         dyn_generation_peak_ =
             std::max(dyn_generation_peak_, outcome.generation);
         generation_peak = dyn_generation_peak_;
-        overlay_bytes = static_cast<double>(st.graph.pending_bytes());
     }
 
     const std::int64_t elapsed_ns =
@@ -582,7 +542,6 @@ Server::mutate(const std::string& graph, const dyn::MutationBatch& batch)
         tm_->dyn_compactions->inc();
     tm_->dyn_generation->set(static_cast<double>(generation_peak));
     tm_->dyn_dirty_fraction->set(outcome.dirty_fraction);
-    tm_->dyn_overlay_bytes->set(overlay_bytes);
     tm_->dyn_mutate_ns->record(static_cast<std::uint64_t>(elapsed_ns));
     write_mutation_record(graph, outcome);
     return outcome;

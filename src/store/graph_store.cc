@@ -34,7 +34,6 @@ struct Ledger
     std::mutex mu;
     /** The store's current generation; null once the store is gone. */
     const Generation* current = nullptr;
-    std::size_t overlay_bytes = 0;
     std::size_t high_water = 0;
     std::vector<Retired> retired;
 
@@ -57,7 +56,7 @@ struct Ledger
     std::size_t
     resident_locked()
     {
-        std::size_t total = overlay_bytes + retired_bytes_locked();
+        std::size_t total = retired_bytes_locked();
         if (current != nullptr)
             total += current->base().bytes_resident() +
                      current->derived_bytes_locked();
@@ -345,14 +344,6 @@ GraphStore::install_generation(graph::CSRGraph next)
     return id;
 }
 
-void
-GraphStore::set_overlay_bytes(std::size_t bytes)
-{
-    std::lock_guard<std::mutex> lock(ledger_->mu);
-    ledger_->overlay_bytes = bytes;
-    ledger_->update_high_water_locked();
-}
-
 std::size_t
 GraphStore::bytes_resident() const
 {
@@ -391,13 +382,6 @@ GraphStore::artifacts() const
     rows.push_back(info("relabeled", gen.relabeled_));
     rows.push_back(info("grb", gen.grb_));
     rows.push_back(info("grb+weights", gen.grb_weighted_));
-    {
-        ArtifactInfo row;
-        row.name = "overlay";
-        row.resident = ledger_->overlay_bytes > 0;
-        row.bytes = ledger_->overlay_bytes;
-        rows.push_back(std::move(row));
-    }
     {
         ArtifactInfo row;
         row.name = "retired";

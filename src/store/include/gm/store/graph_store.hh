@@ -200,8 +200,8 @@ class GraphStore
     void evict_derived();
 
     /** Owned heap bytes currently resident: the current generation's
-     *  base + cached forms, the overlay, and every retired generation
-     *  still held.  Aliases and zero-copy views contribute nothing. */
+     *  base + cached forms and every retired generation still held.
+     *  Aliases and zero-copy views contribute nothing. */
     std::size_t bytes_resident() const;
 
     /** Largest bytes_resident() ever observed on this store.  Updated
@@ -209,7 +209,7 @@ class GraphStore
     std::size_t bytes_high_water() const;
 
     /** Accounting snapshot: the current generation's artifacts, base
-     *  first, then the overlay and the retired generations. */
+     *  first, then the retired generations. */
     std::vector<ArtifactInfo> artifacts() const;
 
     /** The current generation's content fingerprint. */
@@ -227,7 +227,7 @@ class GraphStore
     std::uint64_t generation() const { return current()->id(); }
 
     /**
-     * Install a compacted CSR as the next generation: a pointer swap.
+     * Install a merged CSR as the next generation: a pointer swap.
      * The previous generation is retired: the store drops its strong
      * reference but keeps counting its bytes — base and derived forms —
      * until every holder (pinned readers, base_ptr() holders, GraphBLAS
@@ -237,10 +237,6 @@ class GraphStore
      * @return the new generation id.
      */
     std::uint64_t install_generation(graph::CSRGraph next);
-
-    /** Charge the dynamic overlay's delta buffers (gm::dyn) to this
-     *  store's accounting; shows up in bytes_resident()/high-water. */
-    void set_overlay_bytes(std::size_t bytes);
 
   private:
     std::shared_ptr<detail::Ledger> ledger_;

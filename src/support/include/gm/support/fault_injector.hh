@@ -40,11 +40,11 @@
  *                         answer, followers still wake — the cache just
  *                         stays cold), a delay fault slows publication.
  *   "serve.mutate"        polled by Server::mutate() after the batch is
- *                         applied to the overlay (and any compaction is
- *                         built) and before the install; an error fault
- *                         fails the call as UNAVAILABLE with the batch
- *                         left in the overlay for the next compaction, a
- *                         delay fault stretches the call.
+ *                         merged into the next CSR generation and before
+ *                         the install; an error fault fails the call as
+ *                         UNAVAILABLE and discards the merge, so the
+ *                         graph is as it was, a delay fault stretches
+ *                         the call.
  *   "serve.plan.node"     polled by the plan driver just before each DAG
  *                         node executes; an error fault fails that node
  *                         (and with it the plan — failed flights are not

@@ -1,10 +1,11 @@
 /**
- * gm::dyn tests: overlay semantics, the rebuild-from-scratch oracle
- * (random batched insert/delete interleavings must compact to exactly the
- * CSR graph::build_graph would produce from the surviving edge set),
- * cross-width determinism of compaction at lease widths {1, 2, 5, 8},
- * and the store-side generation lifecycle (identity stability,
- * retired-generation byte accounting tied to outstanding views).
+ * gm::dyn tests: merge semantics, the rebuild-from-scratch oracle (random
+ * batched insert/delete interleavings, merged and installed every round,
+ * must equal the CSR graph::build_graph would produce from the surviving
+ * edge set), cross-width determinism of the merge at lease widths
+ * {1, 2, 5, 8}, and the store-side generation lifecycle (identity
+ * stability, retired-generation byte accounting tied to outstanding
+ * pins).
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "gm/graph/builder.hh"
 #include "gm/graph/generators.hh"
 #include "gm/par/thread_pool.hh"
+#include "gm/store/graph_store.hh"
 #include "gm/support/hash.hh"
 #include "gm/support/rng.hh"
 
@@ -29,8 +31,6 @@ namespace
 {
 
 using dyn::BatchEffect;
-using dyn::DynamicGraph;
-using dyn::GraphView;
 using dyn::MutationBatch;
 
 std::uint64_t
@@ -48,7 +48,7 @@ structure_hash(const graph::CSRGraph& g)
     return h.digest();
 }
 
-/** Logical edge set shadowing a DynamicGraph: canonical (min,max) pairs
+/** Logical edge set shadowing a mutated graph: canonical (min,max) pairs
  *  for undirected graphs, raw arcs for directed ones. */
 class ShadowEdges
 {
@@ -123,70 +123,97 @@ make_store(graph::CSRGraph g, std::uint64_t weight_seed = 42)
     return std::make_shared<store::GraphStore>(std::move(g), weight_seed);
 }
 
+/** Merge @p batch into @p store's current generation and install the
+ *  result when the batch changed an arc. */
+void
+merge_and_install(store::GraphStore& store, const MutationBatch& batch)
+{
+    auto merged = dyn::merge(store.base(), batch);
+    ASSERT_TRUE(merged.is_ok()) << merged.status().to_string();
+    dyn::Merged next = std::move(merged).value();
+    if (next.csr)
+        store.install_generation(std::move(*next.csr));
+}
+
+std::vector<vid_t>
+row(const graph::CSRGraph& g, vid_t v)
+{
+    const auto neigh = g.out_neigh(v);
+    return {neigh.begin(), neigh.end()};
+}
+
 TEST(DynOverlay, InsertDeleteDedupeSemantics)
 {
     // Path 0-1-2 plus edge 2-3, undirected.
     graph::EdgeList edges{{0, 1}, {1, 2}, {2, 3}};
-    auto store = make_store(graph::build_graph(edges, 4, false));
-    DynamicGraph dg(store);
+    const graph::CSRGraph base = graph::build_graph(edges, 4, false);
 
     MutationBatch batch;
     batch.insert(0, 1); // already present: no-op
     batch.insert(0, 2); // new edge
     batch.insert(2, 0); // duplicate of the same logical edge: no-op
     batch.insert(3, 3); // self loop: ignored
-    batch.erase(1, 2);  // tombstones a base edge
+    batch.erase(1, 2);  // deletes a base edge
     batch.erase(0, 3);  // absent: no-op
-    auto effect = dg.apply(batch);
-    ASSERT_TRUE(effect.status().is_ok());
-    EXPECT_EQ(effect.value().inserted_arcs, 2); // 0-2 both directions
-    EXPECT_EQ(effect.value().deleted_arcs, 2);  // 1-2 both directions
-    EXPECT_EQ(effect.value().dirty, (std::vector<vid_t>{0, 1, 2}));
+    auto merged = dyn::merge(base, batch);
+    ASSERT_TRUE(merged.is_ok());
+    const BatchEffect& effect = merged.value().effect;
+    EXPECT_EQ(effect.inserted_arcs, 2); // 0-2 both directions
+    EXPECT_EQ(effect.deleted_arcs, 2);  // 1-2 both directions
+    EXPECT_EQ(effect.dirty, (std::vector<vid_t>{0, 1, 2}));
 
-    const GraphView view = dg.view();
-    EXPECT_TRUE(view.has_out_edge(0, 2));
-    EXPECT_TRUE(view.has_out_edge(2, 0));
-    EXPECT_FALSE(view.has_out_edge(1, 2));
-    EXPECT_EQ(view.out_degree(0), 2);
-    EXPECT_EQ(view.out_degree(1), 1);
-    EXPECT_EQ(view.num_edges_directed(), store->base().num_edges_directed());
+    ASSERT_TRUE(merged.value().csr.has_value());
+    const graph::CSRGraph& next = *merged.value().csr;
+    EXPECT_EQ(row(next, 0), (std::vector<vid_t>{1, 2})); // ascending
+    EXPECT_EQ(row(next, 1), (std::vector<vid_t>{0}));
+    EXPECT_EQ(row(next, 2), (std::vector<vid_t>{0, 3}));
+    EXPECT_EQ(row(next, 3), (std::vector<vid_t>{2}));
+    EXPECT_EQ(next.num_edges_directed(), base.num_edges_directed());
 
-    // Merged iteration yields ascending targets.
-    std::vector<vid_t> row;
-    view.for_out(0, [&](vid_t t) { row.push_back(t); });
-    EXPECT_EQ(row, (std::vector<vid_t>{1, 2}));
-
-    // Deleting a buffered insert cancels it; re-inserting a tombstoned
-    // base edge resurrects it.
+    // Deleting the inserted edge and re-inserting the deleted one merges
+    // back to the original graph.
     MutationBatch second;
     second.erase(0, 2);
     second.insert(1, 2);
-    effect = dg.apply(second);
-    ASSERT_TRUE(effect.status().is_ok());
-    const GraphView after = dg.view();
-    EXPECT_FALSE(after.has_out_edge(0, 2));
-    EXPECT_TRUE(after.has_out_edge(1, 2));
-    EXPECT_EQ(dg.pending_entries(), 0u); // everything cancelled out
+    auto undone = dyn::merge(next, second);
+    ASSERT_TRUE(undone.is_ok());
+    EXPECT_EQ(undone.value().effect.inserted_arcs, 2);
+    EXPECT_EQ(undone.value().effect.deleted_arcs, 2);
+    ASSERT_TRUE(undone.value().csr.has_value());
+    EXPECT_EQ(structure_hash(*undone.value().csr), structure_hash(base));
 }
 
 TEST(DynOverlay, OutOfRangeEndpointRejectsWholeBatch)
 {
-    auto store = make_store(graph::build_graph({{0, 1}}, 2, false));
-    DynamicGraph dg(store);
+    const graph::CSRGraph base = graph::build_graph({{0, 1}}, 2, false);
     MutationBatch batch;
     batch.insert(0, 1);
     batch.insert(1, 7);
-    const auto effect = dg.apply(batch);
-    EXPECT_EQ(effect.status().code(), support::StatusCode::kInvalidInput);
-    EXPECT_EQ(dg.pending_entries(), 0u);
+    const auto merged = dyn::merge(base, batch);
+    EXPECT_EQ(merged.status().code(), support::StatusCode::kInvalidInput);
 }
 
 TEST(DynOverlay, CompactIsNoopWhenClean)
 {
-    auto store = make_store(graph::make_uniform(8, 4, 1));
-    DynamicGraph dg(store);
-    EXPECT_EQ(dg.compact(), 0u);
-    EXPECT_EQ(store->generation(), 0u);
+    // The empty batch, and a directed batch whose ops cancel: an absent
+    // arc inserted twice and then deleted, a present arc inserted, and
+    // the absent reverse of that arc deleted.
+    const graph::CSRGraph base = graph::build_graph({{0, 1}}, 4, true);
+    MutationBatch cancelling;
+    cancelling.insert(2, 3);
+    cancelling.insert(2, 3);
+    cancelling.erase(2, 3);
+    cancelling.insert(0, 1);
+    cancelling.erase(1, 0);
+    for (const MutationBatch& batch : {MutationBatch{}, cancelling}) {
+        const auto merged = dyn::merge(base, batch);
+        ASSERT_TRUE(merged.is_ok());
+        EXPECT_EQ(merged.value().effect.inserted_arcs, 0);
+        EXPECT_EQ(merged.value().effect.deleted_arcs, 0);
+        EXPECT_TRUE(merged.value().effect.dirty.empty());
+        EXPECT_EQ(merged.value().effect.requested, batch.size());
+        EXPECT_FALSE(merged.value().csr.has_value());
+    }
 }
 
 struct Topology
@@ -205,32 +232,48 @@ topologies()
     return out;
 }
 
+/** One batch that inserts and then deletes the same absent arc u->a, and
+ *  repeats ops: the reverse arc a->u (the same edge when undirected) is
+ *  inserted twice, and a present arc of u deleted twice. */
+MutationBatch
+repeat_batch(const graph::CSRGraph& g)
+{
+    vid_t u = 0;
+    while (g.out_degree(u) == 0)
+        ++u;
+    const auto row = g.out_neigh(u);
+    vid_t a = 0;
+    while (a == u || std::binary_search(row.begin(), row.end(), a))
+        ++a;
+    MutationBatch batch;
+    batch.insert(u, a);
+    batch.insert(a, u);
+    batch.insert(a, u);
+    batch.erase(u, a);
+    batch.erase(u, row.front());
+    batch.erase(u, row.front());
+    return batch;
+}
+
 TEST(DynOracle, RandomInterleavingsMatchRebuildFromScratch)
 {
     for (auto& topo : topologies()) {
         const vid_t n = topo.graph.num_vertices();
         ShadowEdges shadow(topo.graph);
         auto store = make_store(topo.graph);
-        DynamicGraph dg(store);
-        for (int round = 0; round < 10; ++round) {
-            const MutationBatch batch = script_batch(n, round, 0xabcd, 24);
-            ASSERT_TRUE(dg.apply(batch).status().is_ok()) << topo.name;
+        for (int round = 0; round <= 10; ++round) {
+            const MutationBatch batch =
+                round < 10 ? script_batch(n, round, 0xabcd, 24)
+                           : repeat_batch(store->base());
+            merge_and_install(*store, batch);
             for (const graph::Edge& e : batch.inserts)
                 shadow.insert(e.u, e.v);
             for (const graph::Edge& e : batch.deletes)
                 shadow.erase(e.u, e.v);
-            // Compact on a stride so some rounds stack deltas on deltas.
-            if (round % 3 == 2) {
-                dg.compact();
-                EXPECT_EQ(structure_hash(store->base()),
-                          structure_hash(shadow.rebuild(n)))
-                    << topo.name << " round " << round;
-            }
+            EXPECT_EQ(structure_hash(store->base()),
+                      structure_hash(shadow.rebuild(n)))
+                << topo.name << " round " << round;
         }
-        dg.compact();
-        EXPECT_EQ(structure_hash(store->base()),
-                  structure_hash(shadow.rebuild(n)))
-            << topo.name << " final";
     }
 }
 
@@ -254,13 +297,9 @@ TEST(DynDeterminism, CompactionIsWidthInvariant)
         const vid_t n = topo.graph.num_vertices();
         const auto run = [&]() -> std::uint64_t {
             auto store = make_store(topo.graph);
-            DynamicGraph dg(store);
             support::Fnv1a h;
             for (int round = 0; round < 4; ++round) {
-                EXPECT_TRUE(dg.apply(script_batch(n, round, 0x5eed, 12))
-                                .status()
-                                .is_ok());
-                dg.compact();
+                merge_and_install(*store, script_batch(n, round, 0x5eed, 12));
                 h.update_value(structure_hash(store->base()));
             }
             return h.digest();
@@ -275,12 +314,10 @@ TEST(DynGenerations, IdentityStableWhileFingerprintTracksGenerations)
     const std::uint64_t id0 = store->identity();
     EXPECT_EQ(store->fingerprint(), id0);
 
-    DynamicGraph dg(store);
     MutationBatch batch;
     batch.insert(0, 5);
     batch.insert(1, 7);
-    ASSERT_TRUE(dg.apply(batch).status().is_ok());
-    EXPECT_EQ(dg.compact(), 1u);
+    merge_and_install(*store, batch);
     EXPECT_EQ(store->generation(), 1u);
     EXPECT_EQ(store->identity(), id0);
     EXPECT_NE(store->fingerprint(), id0);
@@ -289,53 +326,38 @@ TEST(DynGenerations, IdentityStableWhileFingerprintTracksGenerations)
 TEST(DynGenerations, BuildLeavesTheStoreAloneUntilInstall)
 {
     auto store = make_store(graph::make_uniform(8, 4, 35));
-    DynamicGraph dg(store);
     const std::uint64_t before = structure_hash(store->base());
     MutationBatch batch;
     batch.insert(3, 11);
-    ASSERT_TRUE(dg.apply(batch).status().is_ok());
+    auto merged = dyn::merge(store->base(), batch);
+    ASSERT_TRUE(merged.is_ok());
+    dyn::Merged next = std::move(merged).value();
+    ASSERT_TRUE(next.csr.has_value());
 
-    dyn::Compaction built = dg.build();
     EXPECT_EQ(store->generation(), 0u);
     EXPECT_EQ(structure_hash(store->base()), before);
-    const std::uint64_t merged = structure_hash(built.csr);
-    EXPECT_EQ(dg.install(std::move(built)), 1u);
-    EXPECT_EQ(structure_hash(store->base()), merged);
-    EXPECT_EQ(dg.pending_entries(), 0u);
-    // A build of a clean overlay installs nothing.
-    EXPECT_EQ(dg.install(dg.build()), 1u);
-}
-
-TEST(DynGenerationsDeathTest, InstallRejectsABuildTheOverlayOutgrew)
-{
-    testing::FLAGS_gtest_death_test_style = "threadsafe";
-    auto store = make_store(graph::make_uniform(8, 4, 37));
-    DynamicGraph dg(store);
-    MutationBatch first;
-    first.insert(3, 11);
-    ASSERT_TRUE(dg.apply(first).status().is_ok());
-    dyn::Compaction built = dg.build();
-    MutationBatch second;
-    second.insert(4, 12);
-    ASSERT_TRUE(dg.apply(second).status().is_ok());
-    EXPECT_DEATH(dg.install(std::move(built)), "overlay changed");
+    const std::uint64_t built = structure_hash(*next.csr);
+    EXPECT_EQ(store->install_generation(std::move(*next.csr)), 1u);
+    EXPECT_EQ(structure_hash(store->base()), built);
+    // Merging the same batch again changes nothing, so builds nothing.
+    const auto again = dyn::merge(store->base(), batch);
+    ASSERT_TRUE(again.is_ok());
+    EXPECT_FALSE(again.value().csr.has_value());
 }
 
 TEST(DynGenerations, RetiredGenerationBytesFollowOutstandingViews)
 {
     auto store = make_store(graph::make_uniform(8, 4, 33));
-    DynamicGraph dg(store);
     const std::size_t clean_bytes = store->bytes_resident();
 
-    // Pin generation 0 with a live view, then compact past it.
-    GraphView pinned = dg.view();
+    // Pin generation 0, then install past it.
+    std::shared_ptr<const store::Generation> pinned = store->current();
     MutationBatch batch;
     batch.insert(2, 9);
-    ASSERT_TRUE(dg.apply(batch).status().is_ok());
-    EXPECT_GT(store->bytes_resident(), clean_bytes); // overlay charged
-    dg.compact();
+    merge_and_install(*store, batch);
+    ASSERT_EQ(store->generation(), 1u);
 
-    // Old generation still byte-accounted while the view holds it.
+    // Old generation still byte-accounted while the pin holds it.
     const std::size_t with_retired = store->bytes_resident();
     EXPECT_GT(with_retired, clean_bytes);
     bool saw_retired = false;
@@ -344,7 +366,7 @@ TEST(DynGenerations, RetiredGenerationBytesFollowOutstandingViews)
             saw_retired = true;
     EXPECT_TRUE(saw_retired);
 
-    pinned = GraphView(); // drop the last view: generation retires
+    pinned.reset(); // drop the last pin: generation 0 is freed
     EXPECT_LT(store->bytes_resident(), with_retired);
     for (const auto& row : store->artifacts()) {
         if (row.name == "retired") {

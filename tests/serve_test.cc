@@ -1122,7 +1122,7 @@ mut_query(Kernel kernel)
 
 TEST(ServeDynTest, QueriesRunWhileAMutationIsOutsideItsInstall)
 {
-    // A delay at serve.mutate parks the mutation between apply and
+    // A delay at serve.mutate parks the mutation between merge and
     // install.  Queries keep executing meanwhile, on generation 0: the
     // mutation takes no lanes.
     ServerOptions options;
@@ -1156,7 +1156,7 @@ TEST(ServeDynTest, QueriesRunWhileAMutationIsOutsideItsInstall)
     EXPECT_EQ(after->generation, 1u);
 }
 
-TEST(ServeDynTest, MutateErrorFaultLeavesTheBatchForTheNextCompaction)
+TEST(ServeDynTest, MutateErrorFaultLeavesNothingBehind)
 {
     ServerOptions options;
     options.workers = 1;
@@ -1170,16 +1170,53 @@ TEST(ServeDynTest, MutateErrorFaultLeavesTheBatchForTheNextCompaction)
         EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
     }
     EXPECT_EQ(server.stats_snapshot().mutations, 0u);
+    auto query = server.query(mut_query(Kernel::kBFS));
+    ASSERT_TRUE(query.is_ok()) << query.status().to_string();
+    EXPECT_EQ(query->generation, 0u);
 
-    // The next compaction installs both batches: replaying the failed
-    // one finds its edge already present.
+    // The failed batch applied nothing: the retry inserts its edge.
     dyn::MutationBatch retry;
     retry.insert(8, 140);
     auto outcome = server.mutate("Mut", retry);
     ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
-    EXPECT_EQ(outcome->inserted_arcs, 0);
+    EXPECT_EQ(outcome->inserted_arcs, 2); // both stored arcs
     EXPECT_TRUE(outcome->compacted);
     EXPECT_EQ(outcome->generation, 1u);
+}
+
+TEST(ServeDynTest, BatchThatChangesNothingInstallsNothing)
+{
+    const harness::DatasetSuite graphs = mutable_suite();
+    const auto row = graphs[0].g().out_neigh(5);
+    vid_t absent = 0;
+    while (absent == 5 ||
+           std::find(row.begin(), row.end(), absent) != row.end())
+        ++absent;
+    std::vector<std::pair<const char*, dyn::MutationBatch>> cases(4);
+    cases[0].first = "empty";
+    cases[1].first = "insert of a present arc";
+    cases[1].second.insert(5, row.front());
+    cases[2].first = "delete of an absent arc";
+    cases[2].second.erase(5, absent);
+    cases[3].first = "insert then delete of a new arc";
+    cases[3].second.insert(5, absent);
+    cases[3].second.erase(absent, 5); // the same undirected edge
+
+    Server server(graphs, frameworks(), ServerOptions{.workers = 1});
+    ASSERT_TRUE(server.query(mut_query(Kernel::kCC)).is_ok());
+    for (const auto& [name, batch] : cases) {
+        auto outcome = server.mutate("Mut", batch);
+        ASSERT_TRUE(outcome.is_ok()) << name;
+        EXPECT_FALSE(outcome->compacted) << name;
+        EXPECT_EQ(outcome->generation, 0u) << name;
+        EXPECT_EQ(outcome->inserted_arcs + outcome->deleted_arcs, 0) << name;
+        auto cached = server.query(mut_query(Kernel::kCC));
+        ASSERT_TRUE(cached.is_ok()) << name;
+        EXPECT_TRUE(cached->cache_hit) << name;
+        EXPECT_EQ(cached->generation, 0u) << name;
+    }
+    EXPECT_EQ(graphs[0].store()->generation(), 0u);
+    EXPECT_EQ(server.stats_snapshot().compactions, 0u);
 }
 
 /** Submit a PR query whose leader sleeps 400 ms in the server's only
@@ -1195,35 +1232,12 @@ start_slow_leader(Server& server)
 }
 
 ServerOptions
-one_lane_options(int compact_every)
+one_lane_options()
 {
     ServerOptions options;
     options.workers = 1;
     options.lane_budget = 1;
-    options.dyn_compact_every = compact_every;
     return options;
-}
-
-TEST(ServeDynTest, BatchThatDoesNotCompactTakesNoLanes)
-{
-    Server server(mutable_suite(), frameworks(), one_lane_options(0));
-    ScopedFaults faults("serve.execute:1x:1:delay=400");
-    const Server::Handle leader = start_slow_leader(server);
-
-    dyn::MutationBatch batch;
-    batch.insert(6, 110);
-    auto outcome = server.mutate("Mut", batch);
-    ASSERT_TRUE(outcome.is_ok()) << outcome.status().to_string();
-    // The leader is still asleep in its lane: the mutation never waited.
-    EXPECT_EQ(leader.wait_for(0).status().code(),
-              StatusCode::kDeadlineExceeded);
-    EXPECT_FALSE(outcome->compacted);
-    EXPECT_LT(outcome->mutate_seconds, 0.2);
-    EXPECT_EQ(outcome->generation, 0u);
-
-    auto got = leader.wait();
-    ASSERT_TRUE(got.is_ok()) << got.status().to_string();
-    EXPECT_EQ(got->generation, 0u);
 }
 
 TEST(ServeDynTest, CompactionInstallsWhileALeaderRunsOnItsPinnedGeneration)
@@ -1234,7 +1248,7 @@ TEST(ServeDynTest, CompactionInstallsWhileALeaderRunsOnItsPinnedGeneration)
     const std::uint64_t gen0 = result_fingerprint(direct(
         [&] { return ResultValue(gap.pr(twin[0], Mode::kBaseline)); }));
 
-    Server server(mutable_suite(), frameworks(), one_lane_options(1));
+    Server server(mutable_suite(), frameworks(), one_lane_options());
     ScopedFaults faults("serve.execute:1x:1:delay=400");
     const Server::Handle leader = start_slow_leader(server);
 
@@ -1281,7 +1295,7 @@ TEST(ServeDynTest, RetiredBytesDropToZeroWhenThePinningRequestCompletes)
     const harness::DatasetSuite graphs = mutable_suite();
     const store::GraphStore& store = *graphs[0].store();
     const std::size_t gen0_base = store.base().bytes_resident();
-    Server server(graphs, frameworks(), one_lane_options(1));
+    Server server(graphs, frameworks(), one_lane_options());
     ScopedFaults faults("serve.execute:1x:1:delay=400");
     const Server::Handle leader = start_slow_leader(server);
 

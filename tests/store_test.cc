@@ -285,32 +285,27 @@ TEST(GraphStoreTest, DynAccountingAcrossMutateCompactEvictCycle)
     const std::size_t base0 = store->base().bytes_resident();
     EXPECT_EQ(store->bytes_resident(), base0);
 
-    // Mutate: the overlay's delta buffers are charged to the store.
-    dyn::DynamicGraph dg(store);
+    // Merge a batch and install it while a pin holds generation 0: the
+    // old base retires but stays accounted.
     dyn::MutationBatch batch;
     for (vid_t i = 0; i < 32; ++i)
         batch.insert(i, i + 100);
-    ASSERT_TRUE(dg.apply(batch).status().is_ok());
-    const std::size_t overlay = find_artifact(*store, "overlay").bytes;
-    EXPECT_GT(overlay, 0u);
-    EXPECT_EQ(store->bytes_resident(), base0 + overlay);
-    EXPECT_GE(store->bytes_high_water(), base0 + overlay);
-
-    // Compact while a view pins generation 0: the old base retires but
-    // stays accounted, and the overlay charge drops to zero.
-    dyn::GraphView pinned = dg.view();
-    dg.compact();
+    std::shared_ptr<const store::Generation> pinned = store->current();
+    auto merged = dyn::merge(store->base(), batch);
+    ASSERT_TRUE(merged.is_ok());
+    dyn::Merged next = std::move(merged).value();
+    ASSERT_TRUE(next.csr.has_value());
+    store->install_generation(std::move(*next.csr));
     const std::size_t base1 = store->base().bytes_resident();
-    EXPECT_EQ(find_artifact(*store, "overlay").bytes, 0u);
     EXPECT_EQ(find_artifact(*store, "retired").bytes, base0);
     EXPECT_EQ(store->bytes_resident(), base1 + base0);
 
-    // Evict derived forms and drop the last view: only the new base
+    // Evict derived forms and drop the last pin: only the new base
     // remains resident, and the high-water mark remembers the peak.
     store->weighted();
     EXPECT_GT(store->bytes_resident(), base1 + base0);
     store->evict_derived();
-    pinned = dyn::GraphView();
+    pinned.reset();
     EXPECT_EQ(store->bytes_resident(), base1);
     EXPECT_FALSE(find_artifact(*store, "retired").resident);
     EXPECT_GE(store->bytes_high_water(), base1 + base0);

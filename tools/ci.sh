@@ -2,11 +2,12 @@
 # CI entry point: a check that every perf record perf/baselines/README.md
 # names is present and that every perf/trajectory.jsonl row is well
 # formed, tier-1 verification, an AddressSanitizer pass over
-# the graph-store and GraphBLAS tests (the code most exposed to the
-# zero-copy view lifetimes introduced by the GraphStore refactor), a
+# the graph-store, GraphBLAS and dynamic-graph tests (the code most
+# exposed to the zero-copy view lifetimes introduced by the GraphStore
+# refactor, and the merge's offset-shifted row writes), a
 # ThreadSanitizer pass over the tracing, thread-pool, serve, plan, and
 # dynamic-graph tests (the code with cross-thread counter/span/queue
-# traffic, and concurrent reads over a mutating overlay), a
+# traffic, and concurrent reads while mutations install generations), a
 # profile-pipeline smoke run that fails on unparseable Chrome trace JSON,
 # a perf-gate smoke that records a baseline, self-compares it (must
 # pass), then re-runs with a fault-injected slowdown on one cell (must
@@ -68,15 +69,16 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-echo "== tier 2: AddressSanitizer build of the store/view tests =="
+echo "== tier 2: AddressSanitizer build of the store/view/dyn tests =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DGM_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$JOBS" \
-    --target store_test grb_test grb_ops_edge_test converter_test
+    --target store_test grb_test grb_ops_edge_test converter_test dyn_test
 "$ASAN_DIR/tests/store_test"
 "$ASAN_DIR/tests/grb_test"
 "$ASAN_DIR/tests/grb_ops_edge_test"
 "$ASAN_DIR/tests/converter_test"
+"$ASAN_DIR/tests/dyn_test"
 
 echo "== tier 3: ThreadSanitizer build of the obs/par/serve/dyn tests =="
 TSAN_DIR="${BUILD_DIR}-tsan"
@@ -330,10 +332,10 @@ DYN_DIR="$BUILD_DIR/ci-dyn-smoke"
 rm -rf "$DYN_DIR"
 mkdir -p "$DYN_DIR"
 # The chaos storm re-runs with a 10% write mix: seeded mutation batches
-# land between queries (Server::mutate applies the overlay delta, builds
-# a fresh CSR generation and installs it beside running queries, which
-# read the generation they pinned, and lets generation-tagged cache
-# entries go stale).  The run must
+# land between queries (Server::mutate merges each batch into a fresh
+# CSR generation and installs it beside running queries, which read the
+# generation they pinned, and lets generation-tagged cache entries go
+# stale).  The run must
 # (a) hold storm-phase availability at or above 99% even while the graph
 # mutates under faults (serve_bench exits 4 below the floor), (b) expose
 # a gm_dyn_generation gauge that only moves forward — scraped twice
@@ -361,7 +363,7 @@ if [ -z "$METRICS_PORT" ]; then
     cat "$DYN_DIR/dyn.log" >&2
     exit 1
 fi
-# Two scrapes of the generation gauge ~0.4 s apart: a compaction can
+# Two scrapes of the generation gauge ~0.4 s apart: an install can
 # only ever advance it, so the second sample must not be smaller.
 GEN1="$("$BUILD_DIR/tools/gmtop" --port "$METRICS_PORT" \
     --get gm_dyn_generation)"

@@ -13,10 +13,10 @@
  *     diff det1.csv det8.csv
  *
  * --dyn appends rows for the dynamic-graph subsystem: a scripted
- * mutate/compact workload over gm::dyn, fingerprinting the final
- * post-compaction CSR generation of each topology.  It is deterministic
- * across GM_THREADS too (serial order-defined apply, independent-write
- * parallel compaction), so the same diff covers it.
+ * workload of gm::dyn merges, each installed as the next generation,
+ * fingerprinting the final CSR generation of each topology.  It is
+ * deterministic across GM_THREADS too (serial order-defined fold,
+ * independent-write parallel splice), so the same diff covers it.
  *
  * --plan appends rows for the query-plan executor: a fixed set of
  * representative plans (a fused 70-source BFS batch crossing the 64-lane
@@ -97,28 +97,21 @@ run_cell(const Framework& fw, Kernel kernel, const Dataset& ds, Mode mode)
     return h.digest();
 }
 
-/** Seeded mixed batch against the live view: ~2/3 inserts of random
- *  pairs, ~1/3 deletes of an existing out-arc (so deletes take effect). */
+/** Seeded mixed batch against @p g: ~2/3 inserts of random pairs, ~1/3
+ *  deletes of an existing out-arc (so deletes take effect). */
 gm::dyn::MutationBatch
-scripted_batch(const gm::dyn::GraphView& view, std::uint64_t seed, int ops)
+scripted_batch(const gm::graph::CSRGraph& g, std::uint64_t seed, int ops)
 {
     gm::dyn::MutationBatch batch;
     gm::SplitMix64 mix(seed);
-    const auto n = static_cast<std::uint64_t>(view.num_vertices());
+    const auto n = static_cast<std::uint64_t>(g.num_vertices());
     for (int i = 0; i < ops; ++i) {
         const auto u = static_cast<gm::vid_t>(mix.next() % n);
         const auto v = static_cast<gm::vid_t>(mix.next() % n);
-        if (mix.next() % 3 != 0) {
+        if (mix.next() % 3 != 0)
             batch.insert(u, v);
-        } else {
-            bool done = false;
-            view.for_out(u, [&](gm::vid_t t) {
-                if (!done) {
-                    batch.erase(u, t);
-                    done = true;
-                }
-            });
-        }
+        else if (const auto row = g.out_neigh(u); !row.empty())
+            batch.erase(u, row.front());
     }
     return batch;
 }
@@ -154,15 +147,16 @@ run_dyn_rows(int scale)
     for (Topology& topo : topologies) {
         auto store = std::make_shared<gm::store::GraphStore>(
             std::move(topo.g), kSeed);
-        gm::dyn::DynamicGraph dg(store);
         for (int round = 0; round < kRounds; ++round) {
             const gm::dyn::MutationBatch batch = scripted_batch(
-                dg.view(), kSeed ^ (round * 0x9e3779b97f4a7c15ULL), 24);
-            auto effect = dg.apply(batch);
-            if (!effect.is_ok())
+                store->base(), kSeed ^ (round * 0x9e3779b97f4a7c15ULL), 24);
+            auto merged = gm::dyn::merge(store->base(), batch);
+            if (!merged.is_ok())
                 gm::fatal("detcheck --dyn: " +
-                          effect.status().to_string());
-            dg.compact();
+                          merged.status().to_string());
+            gm::dyn::Merged next = std::move(merged).value();
+            if (next.csr)
+                store->install_generation(std::move(*next.csr));
         }
         std::cout << std::hex << "dyn,structure," << topo.name << ","
                   << structure_digest(store->base()) << std::dec << "\n";

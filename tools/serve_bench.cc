@@ -332,7 +332,7 @@ class Mutator
             batch.insert(u, v);
         }
         // One delete per batch: usually a no-op (arc absent) but it
-        // lands on real arcs often enough to exercise tombstones.
+        // lands on real arcs often enough to exercise deletes.
         const auto du = static_cast<gm::vid_t>(rng.next() % n);
         const auto dv = static_cast<gm::vid_t>(rng.next() % n);
         if (du != dv)
