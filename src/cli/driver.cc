@@ -115,13 +115,8 @@ run_kernel(harness::Kernel kernel, const Options& opts)
         return kExitInvalidInput;
     }
     graph::CSRGraph g = *std::move(built);
-    if (opts.symmetrize && g.is_directed()) {
-        graph::EdgeList edges;
-        for (vid_t v = 0; v < g.num_vertices(); ++v)
-            for (vid_t u : g.out_neigh(v))
-                edges.push_back({v, u});
-        g = graph::build_graph(edges, g.num_vertices(), false);
-    }
+    if (opts.symmetrize && g.is_directed())
+        g = graph::symmetrize(g);
     auto made = harness::try_make_dataset(
         "cli", std::move(g), std::max(opts.trials * 4, 8), opts.seed + 1);
     if (!made.is_ok()) {

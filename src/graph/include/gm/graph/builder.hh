@@ -1,6 +1,8 @@
 /**
  * @file
- * Edge-list -> CSR builder plus graph transforms (transpose, relabel).
+ * Edge-list -> CSR builder plus graph transforms (transpose, relabel,
+ * symmetrize).  The transforms work CSR-to-CSR: they never go back
+ * through an edge list.
  *
  * Per the paper (Section V): "all frameworks sort the adjacency list of each
  * vertex based on the destinations and remove duplicate edges" — that is the
@@ -70,12 +72,22 @@ WCSRGraph add_weights(const CSRGraph& graph, std::uint64_t seed);
 CSRGraph transpose(const CSRGraph& graph);
 
 /**
- * Relabel vertices by decreasing degree (ties by original id) and rebuild.
- * Used by triangle counting when the relabeling heuristic fires.
+ * Relabel vertices by decreasing out-degree (ties by original id).  Each
+ * row is renamed, sorted, and stripped of duplicates and self-loops; a
+ * directed graph's in-rows are permuted the same way.  Used by triangle
+ * counting when the relabeling heuristic fires.
  *
  * @param[out] new_to_old When non-null, receives the permutation.
  */
 CSRGraph relabel_by_degree(const CSRGraph& graph,
                            std::vector<vid_t>* new_to_old = nullptr);
+
+/**
+ * The undirected graph with an edge {u, v} wherever @p graph has u -> v
+ * or v -> u, self-loops and duplicates dropped: each row is the merge of
+ * the vertex's out-row and in-row.  GAP runs TC on this form of a
+ * directed input.
+ */
+CSRGraph symmetrize(const CSRGraph& graph);
 
 } // namespace gm::graph

@@ -45,7 +45,9 @@ DegreeDistribution classify_degree_distribution(const CSRGraph& graph,
 /**
  * Approximate diameter via double-sweep BFS (lower bound): BFS from a random
  * vertex, then BFS again from the farthest vertex found.  @p num_sweeps
- * repeats from different starts and takes the max.
+ * repeats from different starts and takes the max.  The sweeps run
+ * concurrently; their starts are drawn serially up front, so the result
+ * is the same at any width.
  */
 vid_t approx_diameter(const CSRGraph& graph, int num_sweeps = 4,
                       std::uint64_t seed = 9);

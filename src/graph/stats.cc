@@ -139,23 +139,26 @@ vid_t
 approx_diameter(const CSRGraph& graph, int num_sweeps, std::uint64_t seed)
 {
     const vid_t n = graph.num_vertices();
-    if (n == 0)
+    if (n == 0 || num_sweeps <= 0)
         return 0;
+    // Draw every start first, in sweep order, so the sweeps (two serial
+    // BFS runs each) can run concurrently without moving the result.
     Xoshiro256 rng(seed);
-    vid_t best = 0;
-    for (int sweep = 0; sweep < num_sweeps; ++sweep) {
-        vid_t start = static_cast<vid_t>(rng.next_bounded(n));
+    std::vector<vid_t> starts(static_cast<std::size_t>(num_sweeps));
+    for (vid_t& start : starts) {
+        start = static_cast<vid_t>(rng.next_bounded(n));
         // Skip isolated starting points.
         for (int tries = 0; graph.out_degree(start) == 0 && tries < 64;
              ++tries) {
             start = static_cast<vid_t>(rng.next_bounded(n));
         }
-        auto [far_v, far_d] = bfs_farthest(graph, start);
-        auto [far_v2, far_d2] = bfs_farthest(graph, far_v);
-        (void)far_v2;
-        best = std::max({best, far_d, far_d2});
     }
-    return best;
+    std::vector<vid_t> reach(starts.size(), 0);
+    par::parallel_for<std::size_t>(0, starts.size(), [&](std::size_t i) {
+        const auto [far_v, far_d] = bfs_farthest(graph, starts[i]);
+        reach[i] = std::max(far_d, bfs_farthest(graph, far_v).second);
+    });
+    return *std::max_element(reach.begin(), reach.end());
 }
 
 } // namespace gm::graph

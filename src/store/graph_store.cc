@@ -75,18 +75,6 @@ struct Ledger
 namespace
 {
 
-/** Symmetrize a directed graph for TC (GAP runs TC on undirected inputs). */
-graph::CSRGraph
-symmetrized(const graph::CSRGraph& g)
-{
-    graph::EdgeList edges;
-    edges.reserve(static_cast<std::size_t>(g.num_edges_directed()));
-    for (vid_t v = 0; v < g.num_vertices(); ++v)
-        for (vid_t u : g.out_neigh(v))
-            edges.push_back({v, u});
-    return graph::build_graph(edges, g.num_vertices(), false);
-}
-
 std::size_t
 owned_bytes(const graph::CSRGraph& g)
 {
@@ -181,7 +169,7 @@ Generation::undirected() const
 {
     if (!base_->is_directed())
         return base_; // alias: undirected graphs are their own symmetrization
-    return acquire(undirected_, [&] { return symmetrized(*base_); });
+    return acquire(undirected_, [&] { return graph::symmetrize(*base_); });
 }
 
 std::shared_ptr<const graph::CSRGraph>

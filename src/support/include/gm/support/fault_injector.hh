@@ -17,8 +17,10 @@
  * than throwing.  This is how the perf-gate CI tier manufactures a
  * reproducible regression on a chosen cell without touching kernel code.
  *
- * Site names in use: "graph.build", "worklist", "kernel",
- * "kernel.<Framework>" for targeting a single framework, and
+ * Site names in use: "graph.build" (the edge-list builders only;
+ * relabel_by_degree and symmetrize work CSR-to-CSR and never poll it),
+ * "worklist", "kernel", "kernel.<Framework>" for targeting a single
+ * framework, and
  * "trial.timed" / "trial.timed.<Framework>.<kernel>.<graph>" — polled by
  * the runner inside the timed region, so delay faults land in the
  * measured wall time.

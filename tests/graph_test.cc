@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <numeric>
 #include <set>
 
 #include "gm/graph/builder.hh"
@@ -11,6 +12,8 @@
 #include "gm/graph/generators.hh"
 #include "gm/graph/io.hh"
 #include "gm/graph/stats.hh"
+#include "gm/par/thread_pool.hh"
+#include "gm/support/rng.hh"
 
 namespace gm::graph
 {
@@ -164,6 +167,256 @@ TEST(Builder, RelabelByDegreePreservesStructure)
     }
 }
 
+// ------------------------------------------- equivalence with edge lists
+//
+// The builder derives a directed graph's in-rows by transposing its
+// out-rows, and relabel_by_degree() and symmetrize() work CSR-to-CSR.
+// Each must match, byte for byte, a serial rebuild from an edge list: one
+// row per key, sorted, deduplicated, self-loops dropped per the options.
+
+vid_t
+oracle_entry(const Edge& e, bool forward)
+{
+    return forward ? e.v : e.u;
+}
+
+WNode
+oracle_entry(const WEdge& e, bool forward)
+{
+    return WNode{forward ? e.v : e.u, e.w};
+}
+
+/** One CSR direction of @p edges: keyed by source (@p forward) or target. */
+template <typename EdgeT, typename DestT>
+std::pair<std::vector<eid_t>, std::vector<DestT>>
+oracle_half(const std::vector<EdgeT>& edges, vid_t n, bool forward,
+            const BuildOptions& opts)
+{
+    std::vector<std::vector<DestT>> rows(static_cast<std::size_t>(n));
+    for (const EdgeT& e : edges) {
+        if (opts.remove_self_loops && e.u == e.v)
+            continue;
+        rows[forward ? e.u : e.v].push_back(oracle_entry(e, forward));
+        if (opts.symmetrize)
+            rows[forward ? e.v : e.u].push_back(oracle_entry(e, !forward));
+    }
+    std::vector<eid_t> offsets = {0};
+    std::vector<DestT> dests;
+    for (auto& row : rows) {
+        std::sort(row.begin(), row.end(), [](const DestT& a, const DestT& b) {
+            return dest_less(a, b);
+        });
+        if (opts.dedup) {
+            row.erase(std::unique(row.begin(), row.end(),
+                                  [](const DestT& a, const DestT& b) {
+                                      return target(a) == target(b);
+                                  }),
+                      row.end());
+        }
+        dests.insert(dests.end(), row.begin(), row.end());
+        offsets.push_back(static_cast<eid_t>(dests.size()));
+    }
+    return {std::move(offsets), std::move(dests)};
+}
+
+template <typename EdgeT, typename DestT = decltype(oracle_entry(EdgeT{}, true))>
+CSRGraphT<DestT>
+oracle_build(const std::vector<EdgeT>& edges, vid_t n, bool directed,
+             BuildOptions opts = {})
+{
+    if (!directed)
+        opts.symmetrize = true;
+    auto [out_off, out_nbr] = oracle_half<EdgeT, DestT>(edges, n, true, opts);
+    if (opts.symmetrize)
+        return CSRGraphT<DestT>(n, false, std::move(out_off), std::move(out_nbr));
+    auto [in_off, in_nbr] = oracle_half<EdgeT, DestT>(edges, n, false, opts);
+    return CSRGraphT<DestT>(n, true, std::move(out_off), std::move(out_nbr),
+                            std::move(in_off), std::move(in_nbr));
+}
+
+/** The out-arcs of @p g as an edge list. */
+EdgeList
+out_arcs(const CSRGraph& g)
+{
+    EdgeList edges;
+    for (vid_t v = 0; v < g.num_vertices(); ++v)
+        for (vid_t u : g.out_neigh(v))
+            edges.push_back({v, u});
+    return edges;
+}
+
+/** Relabel by sorting (degree desc, id asc) and rebuilding the renamed
+ *  out-arcs; undirected inputs already hold both directions. */
+CSRGraph
+oracle_relabel(const CSRGraph& g, std::vector<vid_t>* new_to_old)
+{
+    const vid_t n = g.num_vertices();
+    std::vector<vid_t> order(static_cast<std::size_t>(n));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](vid_t a, vid_t b) {
+        return g.out_degree(a) > g.out_degree(b) ||
+               (g.out_degree(a) == g.out_degree(b) && a < b);
+    });
+    std::vector<vid_t> old_to_new(static_cast<std::size_t>(n));
+    for (vid_t i = 0; i < n; ++i)
+        old_to_new[order[i]] = i;
+    EdgeList edges = out_arcs(g);
+    for (Edge& e : edges)
+        e = {old_to_new[e.u], old_to_new[e.v]};
+    *new_to_old = order;
+    CSRGraph rebuilt = oracle_build(edges, n, true);
+    if (g.is_directed())
+        return rebuilt;
+    return CSRGraph(n, false, rebuilt.out_offsets(), rebuilt.out_destinations());
+}
+
+template <typename DestT>
+void
+expect_same_bytes(const CSRGraphT<DestT>& got, const CSRGraphT<DestT>& want)
+{
+    EXPECT_EQ(got.num_vertices(), want.num_vertices());
+    EXPECT_EQ(got.is_directed(), want.is_directed());
+    EXPECT_EQ(got.out_offsets(), want.out_offsets());
+    EXPECT_EQ(got.out_destinations(), want.out_destinations());
+    EXPECT_EQ(got.in_offsets(), want.in_offsets());
+    EXPECT_EQ(got.in_destinations(), want.in_destinations());
+}
+
+/**
+ * Seeded random edges over 200 vertices whose endpoints come from the
+ * first 150 only (50 isolated vertices), drawn from a narrow range so
+ * duplicates are common, plus explicit self-loops.  Weights in [1, 4]
+ * make duplicate arcs disagree on their weight.
+ */
+WEdgeList
+random_wedges(std::uint64_t seed)
+{
+    Xoshiro256 rng(seed);
+    WEdgeList edges;
+    for (int i = 0; i < 1500; ++i) {
+        const auto u = static_cast<vid_t>(rng.next_bounded(150));
+        const auto v = i % 10 == 0
+                           ? u
+                           : static_cast<vid_t>(rng.next_bounded(150));
+        edges.push_back({u, v, static_cast<weight_t>(rng.next_bounded(4) + 1)});
+    }
+    return edges;
+}
+
+EdgeList
+unweighted(const WEdgeList& wedges)
+{
+    EdgeList edges;
+    for (const WEdge& e : wedges)
+        edges.push_back({e.u, e.v});
+    return edges;
+}
+
+constexpr vid_t kOracleVertices = 200;
+constexpr std::uint64_t kOracleSeeds[] = {1, 2, 3, 4, 5};
+constexpr int kOracleWidths[] = {1, 4};
+
+/** Every (dedup, remove_self_loops, symmetrize) combination. */
+std::vector<BuildOptions>
+all_build_options()
+{
+    std::vector<BuildOptions> all;
+    for (bool dedup : {false, true})
+        for (bool loops : {false, true})
+            for (bool sym : {false, true})
+                all.push_back({.symmetrize = sym,
+                               .remove_self_loops = loops,
+                               .dedup = dedup});
+    return all;
+}
+
+TEST(BuilderOracle, BuildGraphMatchesEdgeListRebuild)
+{
+    for (const std::uint64_t seed : kOracleSeeds) {
+        const WEdgeList wedges = random_wedges(seed);
+        const EdgeList edges = unweighted(wedges);
+        for (const BuildOptions& opts : all_build_options()) {
+            for (const bool directed : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "seed " << seed << " directed " << directed
+                             << " dedup " << opts.dedup << " loops "
+                             << opts.remove_self_loops << " sym "
+                             << opts.symmetrize);
+                const CSRGraph want =
+                    oracle_build(edges, kOracleVertices, directed, opts);
+                const WCSRGraph wwant =
+                    oracle_build(wedges, kOracleVertices, directed, opts);
+                for (const int width : kOracleWidths) {
+                    par::LaneLease lease(width);
+                    expect_same_bytes(
+                        build_graph(edges, kOracleVertices, directed, opts),
+                        want);
+                    expect_same_bytes(
+                        build_wgraph(wedges, kOracleVertices, directed, opts),
+                        wwant);
+                }
+            }
+        }
+    }
+}
+
+/** Inputs for the transforms: directed and undirected graphs, including
+ *  ones that kept their duplicates and self-loops, and ones whose rows are
+ *  not sorted (as a .gmg file may hold them). */
+std::vector<CSRGraph>
+transform_inputs(std::uint64_t seed)
+{
+    const EdgeList edges = unweighted(random_wedges(seed));
+    const BuildOptions raw{.remove_self_loops = false, .dedup = false};
+    const BuildOptions unsorted{.remove_self_loops = false,
+                                .sort_neighbors = false,
+                                .dedup = false};
+    return {build_graph(edges, kOracleVertices, true),
+            build_graph(edges, kOracleVertices, false),
+            build_graph(edges, kOracleVertices, true, raw),
+            build_graph(edges, kOracleVertices, false, raw),
+            build_graph(edges, kOracleVertices, true, unsorted),
+            build_graph(edges, kOracleVertices, false, unsorted)};
+}
+
+TEST(BuilderOracle, RelabelByDegreeMatchesEdgeListRebuild)
+{
+    for (const std::uint64_t seed : kOracleSeeds) {
+        for (const CSRGraph& g : transform_inputs(seed)) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " directed "
+                         << g.is_directed() << " arcs "
+                         << g.num_edges_directed());
+            std::vector<vid_t> want_order;
+            const CSRGraph want = oracle_relabel(g, &want_order);
+            for (const int width : kOracleWidths) {
+                par::LaneLease lease(width);
+                std::vector<vid_t> order;
+                expect_same_bytes(relabel_by_degree(g, &order), want);
+                EXPECT_EQ(order, want_order);
+            }
+        }
+    }
+}
+
+TEST(BuilderOracle, SymmetrizeMatchesEdgeListRebuild)
+{
+    for (const std::uint64_t seed : kOracleSeeds) {
+        for (const CSRGraph& g : transform_inputs(seed)) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " directed "
+                         << g.is_directed() << " arcs "
+                         << g.num_edges_directed());
+            const CSRGraph want =
+                oracle_build(out_arcs(g), g.num_vertices(), false);
+            for (const int width : kOracleWidths) {
+                par::LaneLease lease(width);
+                expect_same_bytes(symmetrize(g), want);
+            }
+        }
+    }
+}
+
 class GeneratorTest
     : public ::testing::TestWithParam<std::pair<const char*, CSRGraph>>
 {
@@ -243,6 +496,20 @@ TEST(Stats, ApproxDiameterOnPathGraph)
         edges.push_back({v, v + 1});
     CSRGraph g = build_graph(edges, 50, /*directed=*/false);
     EXPECT_EQ(approx_diameter(g, 4), 49);
+}
+
+TEST(Stats, ApproxDiameterIsWidthInvariant)
+{
+    // The sweeps run concurrently; their starts are drawn up front, so
+    // the result must not depend on how many lanes ran them.
+    const CSRGraph g = make_road_like(24, 40, 3);
+    vid_t serial = 0;
+    {
+        par::LaneLease lease(1);
+        serial = approx_diameter(g, 8, 11);
+    }
+    par::LaneLease lease(4);
+    EXPECT_EQ(approx_diameter(g, 8, 11), serial);
 }
 
 TEST(Stats, DegreeStatsExact)

@@ -2,9 +2,10 @@
 # CI entry point: a check that every perf record perf/baselines/README.md
 # names is present and that every perf/trajectory.jsonl row is well
 # formed, tier-1 verification, an AddressSanitizer pass over
-# the graph-store, GraphBLAS and dynamic-graph tests (the code most
-# exposed to the zero-copy view lifetimes introduced by the GraphStore
-# refactor, and the merge's offset-shifted row writes), a
+# the graph-store, GraphBLAS, dynamic-graph and graph-builder tests (the
+# code most exposed to the zero-copy view lifetimes introduced by the
+# GraphStore refactor, the merge's offset-shifted row writes, and the
+# builder's raw-pointer row fills), a
 # ThreadSanitizer pass over the tracing, thread-pool, serve, plan, and
 # dynamic-graph tests (the code with cross-thread counter/span/queue
 # traffic, and concurrent reads while mutations install generations), a
@@ -69,16 +70,18 @@ cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-echo "== tier 2: AddressSanitizer build of the store/view/dyn tests =="
+echo "== tier 2: AddressSanitizer build of the store/view/dyn/graph tests =="
 ASAN_DIR="${BUILD_DIR}-asan"
 cmake -B "$ASAN_DIR" -S . -DGM_SANITIZE=address
 cmake --build "$ASAN_DIR" -j "$JOBS" \
-    --target store_test grb_test grb_ops_edge_test converter_test dyn_test
+    --target store_test grb_test grb_ops_edge_test converter_test dyn_test \
+    graph_test
 "$ASAN_DIR/tests/store_test"
 "$ASAN_DIR/tests/grb_test"
 "$ASAN_DIR/tests/grb_ops_edge_test"
 "$ASAN_DIR/tests/converter_test"
 "$ASAN_DIR/tests/dyn_test"
+"$ASAN_DIR/tests/graph_test"
 
 echo "== tier 3: ThreadSanitizer build of the obs/par/serve/dyn tests =="
 TSAN_DIR="${BUILD_DIR}-tsan"
