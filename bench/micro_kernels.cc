@@ -129,6 +129,20 @@ bench_tiny_parallel_for(benchmark::State& state)
 }
 
 void
+bench_tiny_parallel_reduce(benchmark::State& state)
+{
+    par::LaneLease lease(par::ThreadPool::instance().num_threads());
+    std::vector<double> cells(256, 0.5);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(par::parallel_reduce<std::size_t, double>(
+            0, cells.size(), 0.0, [&](std::size_t i) { return cells[i]; },
+            [](double a, double b) { return a + b; }));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(cells.size()));
+}
+
+void
 bench_lane_lease_acquire(benchmark::State& state)
 {
     for (auto _ : state) {
@@ -149,6 +163,9 @@ register_all()
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark("Par/TinyParallelFor",
                                  bench_tiny_parallel_for)
+        ->Unit(benchmark::kMicrosecond);
+    benchmark::RegisterBenchmark("Par/TinyParallelReduce",
+                                 bench_tiny_parallel_reduce)
         ->Unit(benchmark::kMicrosecond);
     benchmark::RegisterBenchmark("Par/LaneLeaseAcquire",
                                  bench_lane_lease_acquire)

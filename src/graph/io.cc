@@ -109,6 +109,55 @@ validate_csr(vid_t n, const std::vector<eid_t>& offsets,
     return Status::ok();
 }
 
+/** Validate a directed file's in-arrays as the transpose of its
+ *  out-arrays: in-row v holds exactly the u whose out-row holds v.  Rows
+ *  compare as multisets; a sorted row (what the builder and save_binary
+ *  produce) is checked in one pass without sorting.  Both directions
+ *  must already have passed validate_csr. */
+Status
+validate_transpose(vid_t n, const std::vector<eid_t>& out_off,
+                   const std::vector<vid_t>& out_nbr,
+                   const std::vector<eid_t>& in_off,
+                   const std::vector<vid_t>& in_nbr, const std::string& path)
+{
+    const auto bad = [&path] {
+        return Status(StatusCode::kCorruptData,
+                      "CSR in-arrays are not the transpose of the "
+                      "out-arrays in " +
+                          path);
+    };
+    if (in_nbr.size() != out_nbr.size())
+        return bad();
+    // Scatter sources in ascending order: every expected in-row comes out
+    // sorted.  With equal totals, no row overflowing means every row is
+    // filled exactly.
+    std::vector<eid_t> cursor(in_off.begin(), in_off.end() - 1);
+    std::vector<vid_t> expected(in_nbr.size());
+    for (vid_t u = 0; u < n; ++u) {
+        for (eid_t e = out_off[static_cast<std::size_t>(u)];
+             e < out_off[static_cast<std::size_t>(u) + 1]; ++e) {
+            const auto v = static_cast<std::size_t>(
+                out_nbr[static_cast<std::size_t>(e)]);
+            if (cursor[v] == in_off[v + 1])
+                return bad();
+            expected[static_cast<std::size_t>(cursor[v]++)] = u;
+        }
+    }
+    std::vector<vid_t> row;
+    for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+        const auto lo = in_nbr.begin() + in_off[v];
+        const auto hi = in_nbr.begin() + in_off[v + 1];
+        const auto want = expected.begin() + in_off[v];
+        if (std::equal(lo, hi, want))
+            continue;
+        row.assign(lo, hi);
+        std::sort(row.begin(), row.end());
+        if (!std::equal(row.begin(), row.end(), want))
+            return bad();
+    }
+    return Status::ok();
+}
+
 /**
  * Shared line-oriented edge-list parser.
  *
@@ -358,6 +407,9 @@ load_binary(const std::string& path)
     status = validate_csr(nv, out_off, out_nbr, path);
     if (status.is_ok() && directed != 0)
         status = validate_csr(nv, in_off, in_nbr, path);
+    if (status.is_ok() && directed != 0)
+        status = validate_transpose(nv, out_off, out_nbr, in_off, in_nbr,
+                                    path);
     if (!status.is_ok())
         return status;
 

@@ -14,6 +14,7 @@
 #include "gm/harness/checkpoint.hh"
 #include "gm/obs/chrome_trace.hh"
 #include "gm/obs/trace.hh"
+#include "gm/par/parallel_for.hh"
 #include "gm/support/fault_injector.hh"
 #include "gm/support/log.hh"
 #include "gm/support/timer.hh"
@@ -105,6 +106,29 @@ timed_faults(const Dataset& ds, const Framework& fw, Kernel kernel)
 }
 
 /**
+ * Time @p call as trial @p kernel's kernel, returning its result.  The
+ * call runs under one LaneLease, like a serve leader's kernel, so its
+ * forks hand off on held lanes instead of each taking an ephemeral
+ * lease.  The lease is acquired and released inside the timer, where the
+ * trial's forks used to pay for their ephemeral leases.
+ */
+template <typename Call>
+auto
+timed_kernel(Timer& timer, const Dataset& ds, const Framework& fw,
+             Kernel kernel, Call&& call)
+{
+    obs::ScopedSpan span("kernel");
+    timer.start();
+    timed_faults(ds, fw, kernel);
+    auto result = [&] {
+        par::LaneLease lease(par::num_threads());
+        return call();
+    }();
+    timer.stop();
+    return result;
+}
+
+/**
  * One attempt of one trial: kernel (timed) + optional verification, run
  * inline on the calling thread.  Exceptions escape to the watchdog.
  */
@@ -125,17 +149,13 @@ run_trial_attempt(const Dataset& ds, const Framework& fw, Kernel kernel,
     Timer timer;
     bool ok = true;
     std::string err;
+    const auto timed = [&](auto&& call) {
+        return timed_kernel(timer, ds, fw, kernel, call);
+    };
     switch (kernel) {
       case Kernel::kBFS: {
           const vid_t src = trial_source(ds, trial);
-          std::vector<vid_t> parent;
-          {
-              obs::ScopedSpan span("kernel");
-              timer.start();
-              timed_faults(ds, fw, kernel);
-              parent = fw.bfs(ds, src, mode);
-              timer.stop();
-          }
+          const auto parent = timed([&] { return fw.bfs(ds, src, mode); });
           if (check) {
               obs::ScopedSpan span("verify");
               ok = gapref::verify_bfs(ds.g(), src, parent, &err);
@@ -144,14 +164,7 @@ run_trial_attempt(const Dataset& ds, const Framework& fw, Kernel kernel,
       }
       case Kernel::kSSSP: {
           const vid_t src = trial_source(ds, trial);
-          std::vector<weight_t> dist;
-          {
-              obs::ScopedSpan span("kernel");
-              timer.start();
-              timed_faults(ds, fw, kernel);
-              dist = fw.sssp(ds, src, mode);
-              timer.stop();
-          }
+          const auto dist = timed([&] { return fw.sssp(ds, src, mode); });
           if (check) {
               obs::ScopedSpan span("verify");
               ok = gapref::verify_sssp(ds.wg(), src, dist, &err);
@@ -159,14 +172,7 @@ run_trial_attempt(const Dataset& ds, const Framework& fw, Kernel kernel,
           break;
       }
       case Kernel::kCC: {
-          std::vector<vid_t> comp;
-          {
-              obs::ScopedSpan span("kernel");
-              timer.start();
-              timed_faults(ds, fw, kernel);
-              comp = fw.cc(ds, mode);
-              timer.stop();
-          }
+          const auto comp = timed([&] { return fw.cc(ds, mode); });
           if (check) {
               obs::ScopedSpan span("verify");
               ok = gapref::verify_cc(ds.g(), comp, &err);
@@ -174,14 +180,7 @@ run_trial_attempt(const Dataset& ds, const Framework& fw, Kernel kernel,
           break;
       }
       case Kernel::kPR: {
-          std::vector<score_t> scores;
-          {
-              obs::ScopedSpan span("kernel");
-              timer.start();
-              timed_faults(ds, fw, kernel);
-              scores = fw.pr(ds, mode);
-              timer.stop();
-          }
+          const auto scores = timed([&] { return fw.pr(ds, mode); });
           if (check) {
               obs::ScopedSpan span("verify");
               ok = gapref::verify_pagerank(ds.g(), scores, 0.85, 1e-4,
@@ -191,14 +190,8 @@ run_trial_attempt(const Dataset& ds, const Framework& fw, Kernel kernel,
       }
       case Kernel::kBC: {
           const auto sources = trial_bc_sources(ds, trial);
-          std::vector<score_t> scores;
-          {
-              obs::ScopedSpan span("kernel");
-              timer.start();
-              timed_faults(ds, fw, kernel);
-              scores = fw.bc(ds, sources, mode);
-              timer.stop();
-          }
+          const auto scores =
+              timed([&] { return fw.bc(ds, sources, mode); });
           if (check) {
               obs::ScopedSpan span("verify");
               ok = gapref::verify_bc(ds.g(), sources, scores, &err);
@@ -206,14 +199,7 @@ run_trial_attempt(const Dataset& ds, const Framework& fw, Kernel kernel,
           break;
       }
       case Kernel::kTC: {
-          std::uint64_t count = 0;
-          {
-              obs::ScopedSpan span("kernel");
-              timer.start();
-              timed_faults(ds, fw, kernel);
-              count = fw.tc(ds, mode);
-              timer.stop();
-          }
+          const std::uint64_t count = timed([&] { return fw.tc(ds, mode); });
           if (check) {
               obs::ScopedSpan span("verify");
               ok = gapref::verify_tc(ds.g_undirected(), count, &err);

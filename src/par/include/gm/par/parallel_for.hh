@@ -19,6 +19,9 @@
  * in index order, and chunk partials are combined in ascending chunk
  * order — the same fold the one-lane path performs.  Floating-point
  * reductions are therefore bit-identical at any GM_THREADS / lease width.
+ * Lanes claim grid chunks dynamically (skewed loops such as triangle
+ * counting need that), in runs of at least kReduceClaimIters iterations
+ * per claim so a fine grid does not turn into one atomic per chunk.
  */
 #pragma once
 
@@ -46,6 +49,19 @@ inline constexpr std::uint64_t kCancelPollMask = 0x3FF;
  *  a function of the iteration count only — two runs at different lane
  *  counts walk identical chunks and combine them in identical order. */
 inline constexpr std::int64_t kReduceChunkTarget = 256;
+
+/** Fewest iterations a lane claims per cursor bump in parallel_reduce.
+ *  Claims are runs of whole grid chunks, so batching changes only which
+ *  lane computes a chunk, never the grid or the fold. */
+inline constexpr std::int64_t kReduceClaimIters = 64;
+
+/** A dynamic-claim cursor alone on its cache line, so lanes bumping it
+ *  do not keep invalidating the loop bounds and captures they all read. */
+template <typename Index>
+struct alignas(64) ClaimCursor
+{
+    std::atomic<Index> next;
+};
 
 /** Chunk length of the deterministic grid over @p n iterations. */
 template <typename Index>
@@ -137,13 +153,13 @@ parallel_for(Index begin, Index end, Fn&& fn,
             if (grain < 1)
                 grain = 1;
         }
-        std::atomic<Index> cursor{begin};
+        detail::ClaimCursor<Index> cursor{begin};
         pool.run([&](int) {
             for (;;) {
                 if (support::cancel_requested())
                     return;
                 const Index lo =
-                    cursor.fetch_add(grain, std::memory_order_relaxed);
+                    cursor.next.fetch_add(grain, std::memory_order_relaxed);
                 if (lo >= end)
                     return;
                 const Index hi = lo + grain < end ? lo + grain : end;
@@ -278,16 +294,25 @@ parallel_reduce(Index begin, Index end, T identity, Map&& map,
         return run_serial();
 
     std::vector<T> partial(num_chunks, identity);
-    std::atomic<std::size_t> cursor{0};
+    // Lanes claim runs of `claim` consecutive chunks: with a fine grid
+    // (n up to a few thousand) one claim per chunk would spend more on
+    // the cursor line than on the map.
+    const std::size_t claim = static_cast<std::size_t>(
+        (detail::kReduceClaimIters + static_cast<std::int64_t>(chunk) - 1) /
+        static_cast<std::int64_t>(chunk));
+    detail::ClaimCursor<std::size_t> cursor{0};
     pool.run([&](int) {
         for (;;) {
             if (support::cancel_requested())
                 return;
-            const std::size_t c =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (c >= num_chunks)
+            const std::size_t first =
+                cursor.next.fetch_add(claim, std::memory_order_relaxed);
+            if (first >= num_chunks)
                 return;
-            partial[c] = chunk_value(c, /*bail=*/true);
+            const std::size_t last =
+                first + claim < num_chunks ? first + claim : num_chunks;
+            for (std::size_t c = first; c < last; ++c)
+                partial[c] = chunk_value(c, /*bail=*/true);
         }
     });
     support::check_cancelled();

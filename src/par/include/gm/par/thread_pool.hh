@@ -14,9 +14,31 @@
  * genuinely in parallel instead of serializing on a global job slot; this
  * is what lets gm::serve execute several multi-lane requests at once.
  * Threads without a lease get an ephemeral one per fork (best-effort over
- * the currently free workers).  Nested run() calls from inside a lane
+ * the currently free workers), so anything that forks more than a few
+ * times — a harness trial, a serve leader, a plan node — holds one lease
+ * around the whole kernel instead.  Nested run() calls from inside a lane
  * degrade to serial execution on that lane, which keeps composed
  * algorithms correct.
+ *
+ * Hand-off: inside a lease a fork is a few cache-line transfers.  The
+ * owner writes the job slot and bumps LeaseState::job_seq (release); each
+ * leased lane polls job_seq with a pause instruction for a bounded spin
+ * (kSpinNs in thread_pool.cc) before it blocks on the lease's cv, and the
+ * join is an atomic countdown of `pending` that the owner polls the same
+ * way before it blocks on done_cv.  A sleeper is only notified when one
+ * announced itself (sleepers / owner_waiting), so a fork between spinning
+ * lanes takes no lock.  A wait spins only while the lanes of every live
+ * lease, owners included, fit the CPUs the process may run on
+ * (sched_getaffinity): with more, a spinning lane would steal the core of
+ * a lane it waits for, or of another lease's owner, so every wait blocks
+ * at once.  That covers GM_THREADS above the core count and concurrent
+ * serve leaders alike.  Workers outside any lease always block at once,
+ * so an ephemeral lease leaves no spinning cores behind once released.
+ *
+ * Lifetime: a LeaseState lives in its owner's LaneLease.  Workers touch
+ * it until they increment `returned` (under the pool's mutex) on detach,
+ * and never after; ~LaneLease waits for every increment before the state
+ * goes away.
  *
  * Determinism contract: nothing above this layer may depend on how many
  * lanes a lease actually granted.  parallel_reduce partitions work on a
@@ -35,6 +57,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -57,22 +80,29 @@ namespace detail
 {
 
 /** Shared fork-join state of one lease: the owner dispatches jobs into it,
- *  the leased workers execute them until released. */
+ *  the leased workers execute them until released.  The spinning fields
+ *  sit on two cache lines: the owner writes the first (job slot and
+ *  sequence), the lanes write the second (join countdown). */
 struct LeaseState
 {
     std::mutex mu;
-    std::condition_variable cv;      ///< workers wait for jobs / release
-    std::condition_variable done_cv; ///< owner waits for joins / returns
+    std::condition_variable cv;      ///< sleeping workers wait for jobs
+    std::condition_variable done_cv; ///< a sleeping owner waits for joins
 
+    /** Bumped once per dispatched job, after the job slot below is
+     *  written; a lane that sees it change may read the slot. */
+    alignas(64) std::atomic<std::uint64_t> job_seq{0};
+    std::atomic<bool> released{false};
+    std::atomic<int> sleepers{0}; ///< workers blocked (or blocking) on cv
     FunctionRef<void(int)> job;
     const support::CancelToken* cancel = nullptr;
     std::uint64_t obs_gen = 0;
-    std::uint64_t job_seq = 0; ///< bumped once per dispatched job
-    int pending = 0;           ///< lanes still running the current job
+
+    alignas(64) std::atomic<int> pending{0}; ///< lanes still running the job
+    std::atomic<bool> owner_waiting{false};  ///< owner blocked on done_cv
 
     int width = 1;       ///< granted lanes, including the owner's lane 0
     int lanes_held = 0;  ///< pool workers attached (width - 1)
-    bool released = false;
     /** Workers fully detached and back in the pool.  Guarded by the
      *  pool's mutex_ (NOT mu): the detach handshake must run entirely on
      *  pool-owned synchronization, because the releasing owner destroys
@@ -139,12 +169,22 @@ class ThreadPool
     void worker_loop(int slot);
     /** Run jobs for @p state on lease lane @p lane until released. */
     void serve_lease(detail::LeaseState& state, int lane);
+    /** Wait until @p state's lanes have all finished the current job. */
+    void join(detail::LeaseState& state);
     /** Assign up to @p want free workers to @p state; returns the count
      *  granted.  Lease lane ids are handed out from 1 upward. */
     int acquire_workers(int want, detail::LeaseState* state);
 
+    /** Waits may spin: the lanes of every live lease, owners included,
+     *  fit the CPUs the process may run on. */
+    bool may_spin() const;
+
     int num_threads_;
     bool pin_threads_ = false;
+    int allowed_cpus_ = 1; ///< CPUs in the process's affinity mask
+    /** Lanes of live leases, each owner's lane 0 included: the threads
+     *  that may be running or waiting for pool work right now. */
+    std::atomic<int> leased_lanes_{0};
     std::vector<std::thread> workers_;
 
     std::mutex mutex_; ///< guards free_, assignment_, shutdown_, and

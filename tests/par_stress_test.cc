@@ -182,6 +182,51 @@ TEST(ParStress, LeaseChurnUnderForkLoad)
     EXPECT_EQ(forks.load(), 500 * 64);
 }
 
+TEST(ParStress, TinyForksUnderHeldLeaseRunEachLaneOnce)
+{
+    // The spinning hand-off's core invariant: on a held lease every lane
+    // runs every job exactly once, in order.  Each lane checks that the
+    // previous job it ran was the one before this one.
+    constexpr int kForks = 100000;
+    for (int want = 2; want <= 4; ++want) {
+        LaneLease lease(want);
+        const int width = lease.width();
+        std::vector<int> last(static_cast<std::size_t>(width), -1);
+        std::vector<int> runs(static_cast<std::size_t>(width), 0);
+        std::atomic<int> out_of_order{0};
+        for (int job = 0; job < kForks; ++job) {
+            ThreadPool::instance().run([&](int lane) {
+                const auto slot = static_cast<std::size_t>(lane);
+                if (last[slot] != job - 1)
+                    out_of_order.fetch_add(1, std::memory_order_relaxed);
+                last[slot] = job;
+                ++runs[slot];
+            });
+        }
+        EXPECT_EQ(out_of_order.load(), 0) << "width " << width;
+        for (int lane = 0; lane < width; ++lane) {
+            EXPECT_EQ(runs[static_cast<std::size_t>(lane)], kForks)
+                << "width " << width << " lane " << lane;
+        }
+    }
+}
+
+TEST(ParStress, LeaseDestroyedRightAfterLastFork)
+{
+    // Release races the lanes' return from their last job: a lane may
+    // still be leaving the join while ~LaneLease runs.  Under ASan/TSan
+    // this guards the rule that no worker touches the lease's state after
+    // its detach.
+    std::atomic<std::int64_t> ran{0};
+    std::int64_t expected = 0;
+    for (int round = 0; round < 5000; ++round) {
+        LaneLease lease(ThreadPool::instance().num_threads());
+        expected += ThreadPool::instance().run(
+            [&](int) { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+    EXPECT_EQ(ran.load(), expected);
+}
+
 TEST(ParStress, DynamicScheduleBalancesSkewedWork)
 {
     // Power-law-ish work distribution: dynamic scheduling must still cover

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -440,6 +441,60 @@ TEST(LaneLease, ConcurrentHoldersProgressIndependently)
     EXPECT_GE(total.load(), 100);
 }
 
+TEST(LaneLease, OwnerExceptionJoinsSpinningLanes)
+{
+    // Lane 0 throws while the other lanes are still busy: run() must join
+    // them before the exception leaves, since they reference the job.
+    LaneLease lease(ThreadPool::instance().num_threads());
+    const int width = lease.width();
+    std::atomic<int> finished{0};
+    for (int round = 0; round < 200; ++round) {
+        EXPECT_THROW(ThreadPool::instance().run([&](int lane) {
+            if (lane == 0)
+                throw std::runtime_error("lane 0");
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::microseconds(20);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+            finished.fetch_add(1, std::memory_order_relaxed);
+        }),
+                     std::runtime_error);
+        // Joined: every other lane's increment is already visible.
+        ASSERT_EQ(finished.load(), (round + 1) * (width - 1));
+    }
+    std::atomic<int> lanes{0};
+    EXPECT_EQ(ThreadPool::instance().run([&](int) { lanes.fetch_add(1); }),
+              width);
+    EXPECT_EQ(lanes.load(), width);
+}
+
+TEST(LaneLease, CancelDuringForkUnderHeldLease)
+{
+    // A cancel raised while a held lease's lanes run a loop drains every
+    // lane, surfaces as CancelledError, and leaves the lease usable.
+    LaneLease lease(ThreadPool::instance().num_threads());
+    support::CancelToken token;
+    {
+        support::ScopedCancelToken scope(&token);
+        std::thread canceller([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            token.request();
+        });
+        // Dynamic claims of 64 iterations: lanes poll between claims.
+        const auto nap = [](int) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+        };
+        EXPECT_THROW(parallel_for<int>(0, 1 << 20, nap, Schedule::kDynamic,
+                                       64),
+                     support::CancelledError);
+        canceller.join();
+    }
+    std::atomic<int> lanes{0};
+    EXPECT_EQ(ThreadPool::instance().run([&](int) { lanes.fetch_add(1); }),
+              lease.width());
+    EXPECT_EQ(lanes.load(), lease.width());
+}
+
 // ------------------------------------------- cross-width determinism
 
 /** Runs @p body under an owned lease of each width in {1, 2, 3, pool}
@@ -484,6 +539,28 @@ TEST(Determinism, NonCommutativeCombineOrdered)
             [](int i) { return static_cast<std::uint64_t>(i % 13); },
             [](std::uint64_t a, std::uint64_t b) { return a * 31 + b; });
     });
+}
+
+TEST(Determinism, EverySmallLengthBitIdenticalAcrossWidths)
+{
+    // Small n is where batched claims cover several grid chunks per
+    // claim and fewer claims than lanes: the fold must not notice.
+    for (int n = 1; n <= 600; ++n) {
+        const auto fold = [n] {
+            return parallel_reduce<int, double>(
+                0, n, 0.0,
+                [](int i) { return 1.0 / (3.0 + i) + (i % 5) * 1e8; },
+                [](double a, double b) { return a + b; });
+        };
+        const double reference = [&] {
+            LaneLease lease(1);
+            return fold();
+        }();
+        for (int width = 2; width <= 4; ++width) {
+            LaneLease lease(width);
+            ASSERT_EQ(fold(), reference) << "n " << n << " width " << width;
+        }
+    }
 }
 
 TEST(Determinism, ReduceMatchesOneLaneFoldExactly)

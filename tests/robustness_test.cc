@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "gm/harness/runner.hh"
 #include "gm/harness/tables.hh"
 #include "gm/support/fault_injector.hh"
+#include "gm/support/hash.hh"
 #include "gm/support/status.hh"
 #include "gm/support/watchdog.hh"
 
@@ -129,6 +131,47 @@ TEST(BinaryIo, RejectsHugeSizeFieldWithoutAllocating)
     const auto loaded = graph::load_binary(path);
     ASSERT_FALSE(loaded.is_ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kCorruptData);
+    std::remove(path.c_str());
+}
+
+TEST(BinaryIo, RejectsInRowsThatAreNotTheTranspose)
+{
+    const graph::CSRGraph g = graph::make_twitter_like(8, 8, 3);
+    ASSERT_TRUE(g.is_directed());
+    const std::string path = "/tmp/gm_transpose.gmg";
+    ASSERT_TRUE(graph::save_binary(g, path).is_ok());
+    std::string bytes = slurp(path);
+    // The checksum is FNV-1a over everything between the 12-byte
+    // magic+version header and the trailing 8-byte digest; rewriting it
+    // leaves only the structural checks to catch an edit.
+    const auto rewrite_checksum = [&bytes] {
+        support::Fnv1a fnv;
+        fnv.update(bytes.data() + 12, bytes.size() - 12 - 8);
+        const std::uint64_t digest = fnv.digest();
+        for (int i = 0; i < 8; ++i) {
+            bytes[bytes.size() - 8 + static_cast<std::size_t>(i)] =
+                static_cast<char>((digest >> (8 * i)) & 0xff);
+        }
+    };
+    rewrite_checksum();
+    write_file("gm_transpose.gmg", bytes);
+    ASSERT_TRUE(graph::load_binary(path).is_ok());
+
+    // The last in-array entry sits right before the digest.  Point it at
+    // another (in-range) source: offsets and ids stay valid, so only the
+    // transpose check can tell.
+    const std::size_t at = bytes.size() - 8 - sizeof(vid_t);
+    vid_t source = 0;
+    std::memcpy(&source, bytes.data() + at, sizeof(source));
+    source = (source + 1) % g.num_vertices();
+    std::memcpy(bytes.data() + at, &source, sizeof(source));
+    rewrite_checksum();
+    write_file("gm_transpose.gmg", bytes);
+    const auto loaded = graph::load_binary(path);
+    ASSERT_FALSE(loaded.is_ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruptData);
+    EXPECT_NE(loaded.status().message().find("transpose"), std::string::npos)
+        << loaded.status().to_string();
     std::remove(path.c_str());
 }
 

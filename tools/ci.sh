@@ -92,6 +92,11 @@ cmake --build "$TSAN_DIR" -j "$JOBS" \
 "$TSAN_DIR/tests/obs_test"
 "$TSAN_DIR/tests/par_test"
 "$TSAN_DIR/tests/par_stress_test"
+# A lease wider than the CPUs the process may use never spin-waits
+# (GM_THREADS=8 on a host of fewer cores): cover the blocking hand-off
+# and join too.
+GM_THREADS=8 "$TSAN_DIR/tests/par_test"
+GM_THREADS=8 "$TSAN_DIR/tests/par_stress_test"
 "$TSAN_DIR/tests/serve_test"
 "$TSAN_DIR/tests/serve_resilience_test"
 "$TSAN_DIR/tests/telemetry_test"
